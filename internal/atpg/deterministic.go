@@ -27,7 +27,7 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 		goodSim := sim.New(c, opts.Init)
 		goodSim.Run(seq)
 		goodState := goodSim.State()
-		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
 		if base.Cancelled {
 			break // partial FinalStates are unusable; caller discards the run
 		}
@@ -49,12 +49,12 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 			cand := seq.Clone()
 			cand.Concat(res.Seq)
 			// Independent verification before acceptance.
-			verify := s.Run(cand, []fault.Fault{f}, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+			verify := s.Run(cand, []fault.Fault{f}, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
 			if !verify.Detected[0] {
 				continue
 			}
 			// Accept; drop everything the extension detects.
-			out := s.Run(cand, remaining, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, SlabLanes: opts.SlabLanes, Ctx: opts.Ctx})
+			out := s.Run(cand, remaining, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
 			seq = cand
 			remaining = undetectedSubset(remaining, out)
 			progressed = true

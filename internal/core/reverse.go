@@ -15,6 +15,9 @@ import (
 // detTime must hold the detection time of each target under T; it is used to
 // size each assignment's sequence exactly as during generation (LG raised to
 // u+1 for the latest target).
+//
+// A cancelled r.Options.Ctx stops the pass early; the returned list is then
+// incomplete, so callers must check the context before using it.
 func ReverseOrderCompact(r *Result) []Assignment {
 	lg := r.Options.LG
 	if lg == 0 {
@@ -46,7 +49,10 @@ func ReverseOrderCompact(r *Result) []Assignment {
 			}
 		}
 		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, SlabLanes: r.Options.SlabLanes, ShardProcs: r.Options.ShardProcs})
+		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, Ctx: r.Options.Ctx})
+		if out.Cancelled {
+			break // a partial outcome would prune Ω wrongly; callers check Ctx
+		}
 		n := 0
 		for k := range fl {
 			if out.Detected[k] {
@@ -90,7 +96,7 @@ func DetectionSets(r *Result) []fsim.Bitset {
 	sets := make([]fsim.Bitset, len(r.Omega))
 	for j := range r.Omega {
 		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, SlabLanes: r.Options.SlabLanes, ShardProcs: r.Options.ShardProcs})
+		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel})
 		b := fsim.NewBitset(len(r.TargetFaults))
 		for i := range r.TargetFaults {
 			if out.Detected[i] {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	_ "repro/internal/shard" // installs the fsim multi-process shard runner
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wgen"
@@ -48,8 +47,8 @@ type Config struct {
 	// FaultModel names the fault model the pipeline targets: "" or
 	// "stuck-at" (the paper's model), "transition" (launch-on-capture) or
 	// "bridge" (2-node wired-AND/OR pairs); see fault.ModelByName. Unlike
-	// Workers/Kernel/ShardProcs the model CHANGES every result bit — the
-	// fault universe, the targets, the selected assignments — so it IS part
+	// Workers/Kernel the model CHANGES every result bit — the fault
+	// universe, the targets, the selected assignments — so it IS part
 	// of the memoization key (and of the persistent store identity behind
 	// `wbist serve`).
 	FaultModel string
@@ -73,16 +72,6 @@ type Config struct {
 	// FSIM_KERNEL and defaults to event). All kernels are bit-identical, so
 	// Kernel — like Workers — is not part of the memoization key.
 	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W (0 = pick
-	// adaptively; ignored by the other kernels). Like Workers it never
-	// changes the outcome, so it is not part of the memoization key.
-	SlabLanes int
-	// ShardProcs, when > 1, shards eligible fault-simulation runs over
-	// that many worker subprocesses (internal/shard, imported below, which
-	// installs the fsim runner). Like Workers it is an execution policy
-	// with a bit-identical outcome, so it is not part of the memoization
-	// key.
-	ShardProcs int
 	// Ctx, if non-nil, cancels the run: it is threaded through every
 	// pipeline stage down to the fault simulator's worker pool, so a
 	// cancelled or timed-out run stops claiming fault groups and RunPipeline
@@ -238,15 +227,13 @@ func CanonicalConfig(name string, cfg Config) Config {
 func RunCircuit(name string, cfg Config) (*Run, error) {
 	cfg = CanonicalConfig(name, cfg)
 	k := key{name: name, cfg: cfg}
-	// Neither the recorder, the worker count, the kernel (and its slab lane
-	// width) nor the context is part of the identity of a run: none of them
-	// changes any result bit. FaultModel, by contrast, stays in the key —
-	// each model has its own fault universe and hence its own results.
+	// Neither the recorder, the worker count, the kernel nor the context is
+	// part of the identity of a run: none of them changes any result bit.
+	// FaultModel, by contrast, stays in the key — each model has its own
+	// fault universe and hence its own results.
 	k.cfg.Telemetry = nil
 	k.cfg.Workers = 0
 	k.cfg.Kernel = 0
-	k.cfg.SlabLanes = 0
-	k.cfg.ShardProcs = 0
 	k.cfg.Ctx = nil
 	cacheMu.Lock()
 	e, ok := cache[k]
@@ -314,7 +301,7 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		r.T = preset
 		faults := fault.CollapsedUniverseFor(c, model)
 		r.TotalFaults = len(faults)
-		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Kernel: cfg.Kernel, SlabLanes: cfg.SlabLanes, ShardProcs: cfg.ShardProcs, Ctx: cfg.Ctx})
+		out := fsim.Run(c, preset, faults, fsim.Options{Init: init, Workers: cfg.Workers, Kernel: cfg.Kernel, Ctx: cfg.Ctx})
 		for i := range faults {
 			if out.Detected[i] {
 				r.Targets = append(r.Targets, faults[i])
@@ -332,8 +319,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 			NoDeterministicPhase: cfg.ATPGNoPodem,
 			Workers:              cfg.Workers,
 			Kernel:               cfg.Kernel,
-			SlabLanes:            cfg.SlabLanes,
-			ShardProcs:           cfg.ShardProcs,
 			Span:                 pipe,
 			Ctx:                  cfg.Ctx,
 		})
@@ -363,8 +348,6 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 		NoMatchOrdering:   cfg.NoMatchOrdering,
 		Workers:           cfg.Workers,
 		Kernel:            cfg.Kernel,
-		SlabLanes:         cfg.SlabLanes,
-		ShardProcs:        cfg.ShardProcs,
 		Span:              pipe,
 		Ctx:               cfg.Ctx,
 	})
@@ -375,6 +358,10 @@ func RunPipeline(c *circuit.Circuit, init logic.V, cfg Config) (*Run, error) {
 	sp := pipe.Child("reverse-order")
 	r.Compacted = core.ReverseOrderCompact(cr)
 	sp.End()
+	// A cancellation inside reverse-order leaves Ω partly pruned.
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return nil, err
+	}
 	sp = pipe.Child("accounting")
 	r.Stats = core.Accounting(r.Compacted)
 	sp.End()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/iscas"
+	"repro/internal/telemetry"
 )
 
 // failNTimes installs a loadCircuit hook that fails the first n calls with
@@ -128,6 +129,48 @@ func TestRunCircuitCancelledEvicted(t *testing.T) {
 	}
 	if len(r.Compacted) == 0 {
 		t.Fatal("retry returned an empty run")
+	}
+}
+
+// cancelOnSpan cancels a context when the named span ends and keeps every
+// span event it sees.
+type cancelOnSpan struct {
+	span   string
+	cancel context.CancelFunc
+	events map[string]telemetry.SpanEvent
+}
+
+func (s cancelOnSpan) Record(ev telemetry.SpanEvent) {
+	s.events[ev.Span] = ev
+	if ev.Span == s.span {
+		s.cancel()
+	}
+}
+
+// TestRunPipelineCancelledInReverseOrder: a cancellation that lands after
+// weight selection, while reverse-order simulation runs, must stop that
+// phase and surface as context.Canceled instead of a run built on a partly
+// pruned Ω.
+func TestRunPipelineCancelledInReverseOrder(t *testing.T) {
+	c, err := iscas.Load("s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := cancelOnSpan{span: "pipeline/core", cancel: cancel, events: map[string]telemetry.SpanEvent{}}
+	cfg := CanonicalConfig("s27", Config{LG: 100, Seed: 1})
+	cfg.Ctx = ctx
+	cfg.Telemetry = telemetry.New(sink)
+	if _, err := RunPipeline(c, InitFor("s27"), cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunPipeline cancelled after pipeline/core: err = %v, want context.Canceled", err)
+	}
+	ro, ok := sink.events["pipeline/reverse-order"]
+	if !ok {
+		t.Fatal("no pipeline/reverse-order span recorded")
+	}
+	if v := ro.Counters["fsim.vectors"]; v != 0 {
+		t.Errorf("reverse-order simulated %d vectors after the cancel, want 0", v)
 	}
 }
 

@@ -42,8 +42,7 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 	rt.TotalFaults = len(universe)
 	tr := obsv.NewTrace()
 	out := simulator.Run(r.T, universe, fsim.Options{
-		Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel,
-		SlabLanes: cfg.SlabLanes, Trace: tr,
+		Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel, Trace: tr,
 	})
 	rt.Segments = append(rt.Segments, tr.Segment(r.T.Len(), len(universe), out.NumDetected))
 
@@ -79,8 +78,7 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 		tr.Assignment = j
 		seq := a.GenSequence(lg)
 		out := simulator.Run(seq, fl, fsim.Options{
-			Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel,
-			SlabLanes: cfg.SlabLanes, Trace: tr,
+			Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel, Trace: tr,
 		})
 		det := 0
 		for k := range fl {

@@ -3,6 +3,7 @@ package fsim_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,7 +67,7 @@ func universeOf(c *circuit.Circuit, m fault.Model) []fault.Fault {
 //   - *-transition / *-bridge: the same circuits and sequences under the
 //     launch-on-capture transition model and the 2-node bridging model (full
 //     collapsed universes), pinning the non-stuck-at injection paths of
-//     every kernel plus the sharded and worker-death rounds.
+//     every kernel.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	table1, err := sim.ParseSequence(iscas.S27TestSequence)
@@ -88,6 +89,27 @@ func goldenCases(t *testing.T) []goldenCase {
 		{"s298-bridge", "s298", "random binary, seed 298, length 128", rand298, logic.Zero, fault.Bridging{}},
 		{"s344-bridge", "s344", "random binary, seed 344, length 128", rand344, logic.Zero, fault.Bridging{}},
 	}
+}
+
+// recordOf reduces an outcome to the golden observable (coverage plus the
+// detection-time histogram) for comparison against a committed pin.
+func recordOf(tc goldenCase, faults int, out *fsim.Outcome) goldenRecord {
+	got := goldenRecord{
+		Circuit:     tc.circuit,
+		Sequence:    tc.seqDesc,
+		Faults:      faults,
+		Detected:    out.NumDetected,
+		DetTimeHist: map[string]int{},
+	}
+	if tc.model != nil {
+		got.Model = tc.model.Name()
+	}
+	for i, d := range out.Detected {
+		if d {
+			got.DetTimeHist[fmt.Sprintf("%d", out.DetTime[i])]++
+		}
+	}
+	return got
 }
 
 // TestGoldenOutcomes locks the simulator's observable outcomes against the

@@ -208,7 +208,7 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 				}
 			}
 			seq := r.Omega[j].GenSequence(lg)
-			out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers, Kernel: r.Options.Kernel, SlabLanes: r.Options.SlabLanes})
+			out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers, Kernel: r.Options.Kernel})
 			for k, i := range idx {
 				if opSets[i] == nil {
 					opSets[i] = fsim.NewBitset(len(r.Circuit.Nodes))

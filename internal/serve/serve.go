@@ -70,14 +70,6 @@ type Options struct {
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel for all jobs.
 	Kernel fsim.Kernel
-	// SlabLanes is the slab kernel's fault-group batch width W for all jobs
-	// (0 = pick adaptively; ignored by the other kernels).
-	SlabLanes int
-	// ShardProcs is the server-wide default multi-process shard width for
-	// eligible fault-simulation runs (0/1 = in-process; a job's own
-	// shard_procs overrides it). Execution policy like Workers: it never
-	// changes a result bit or a job's store key.
-	ShardProcs int
 }
 
 func (o Options) withDefaults() Options {
@@ -104,11 +96,6 @@ type SubmitRequest struct {
 	// Config carries the identity-relevant experiment options; zero values
 	// select the paper's defaults.
 	Config JobConfig `json:"config"`
-	// ShardProcs, when > 1, shards this job's eligible fault-simulation
-	// runs over that many worker subprocesses. Execution policy, not
-	// identity: it never changes a result bit, so jobs differing only in
-	// shard_procs share one store key (and one cached artifact set).
-	ShardProcs int `json:"shard_procs,omitempty"`
 }
 
 // JobConfig is the over-the-wire subset of expt.Config: exactly the fields
@@ -179,9 +166,6 @@ type job struct {
 	netlist []byte // canonical .bench bytes
 	init    logic.V
 	cfg     expt.Config // canonical, identity fields only
-	// shardProcs is the job's execution-only shard width (0 = server
-	// default), never part of cfg or the store key.
-	shardProcs int
 
 	cancel context.CancelFunc
 
@@ -394,7 +378,9 @@ func resolveSubmission(req SubmitRequest) (*circuit.Circuit, []byte, logic.V, ex
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -437,18 +423,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
-		id:         fmt.Sprintf("job-%04d", s.seq),
-		key:        key,
-		circuit:    c,
-		name:       c.Name,
-		netlist:    netlist,
-		init:       init,
-		cfg:        cfg,
-		shardProcs: req.ShardProcs,
-		cancel:     cancel,
-		state:      StateQueued,
-		submitted:  time.Now(),
-		subs:       make(map[chan Event]struct{}),
+		id:        fmt.Sprintf("job-%04d", s.seq),
+		key:       key,
+		circuit:   c,
+		name:      c.Name,
+		netlist:   netlist,
+		init:      init,
+		cfg:       cfg,
+		cancel:    cancel,
+		state:     StateQueued,
+		submitted: time.Now(),
+		subs:      make(map[chan Event]struct{}),
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -500,11 +485,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		cfg.Ctx = ctx
 		cfg.Workers = s.opts.Workers
 		cfg.Kernel = s.opts.Kernel
-		cfg.SlabLanes = s.opts.SlabLanes
-		cfg.ShardProcs = s.opts.ShardProcs
-		if j.shardProcs > 0 {
-			cfg.ShardProcs = j.shardProcs
-		}
 		cfg.Telemetry = telemetry.New(jobSink{j})
 		r, err := expt.RunPipeline(j.circuit, j.init, cfg)
 		if err != nil {

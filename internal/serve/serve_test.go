@@ -42,6 +42,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 func submit(t *testing.T, hs *httptest.Server, req SubmitRequest) (JobView, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return submitRaw(t, hs, body)
+}
+
+func submitRaw(t *testing.T, hs *httptest.Server, body []byte) (JobView, int) {
+	t.Helper()
 	resp, err := http.Post(hs.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +208,16 @@ func TestSubmitValidation(t *testing.T) {
 	} {
 		if _, code := submit(t, hs, req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	// Unknown fields are rejected rather than silently ignored: a retired
+	// execution knob and a misspelt config field alike.
+	for _, body := range []string{
+		`{"circuit":"s27","shard_procs":2}`,
+		`{"circuit":"s27","config":{"lg":100,"sede":1}}`,
+	} {
+		if _, code := submitRaw(t, hs, []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, code)
 		}
 	}
 }

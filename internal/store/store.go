@@ -42,9 +42,8 @@ const SchemaVersion = "wbist-store/v2"
 
 // identity is the canonical key header: exactly the configuration fields
 // that are part of a run's identity, in a fixed JSON field order. Fields
-// deliberately absent — Telemetry, Workers, Kernel, ShardProcs, Ctx — do not
-// change any result bit (see expt.Config); TestIdentityCoversConfig enforces
-// that every
+// deliberately absent — Telemetry, Workers, Kernel, Ctx — do not change any
+// result bit (see expt.Config); TestIdentityCoversConfig enforces that every
 // expt.Config field is classified one way or the other.
 type identity struct {
 	Schema            string `json:"schema"`
@@ -70,7 +69,7 @@ var (
 		"RandomWindows", "NoSampleFirst", "NoForceFullLength", "NoMatchOrdering",
 		"FaultModel",
 	}
-	excludedFields = []string{"Telemetry", "Workers", "Kernel", "SlabLanes", "ShardProcs", "Ctx"}
+	excludedFields = []string{"Telemetry", "Workers", "Kernel", "Ctx"}
 )
 
 // Key computes the content address of a compilation: cfg must already be in

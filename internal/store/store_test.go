@@ -103,6 +103,21 @@ func TestKeyIdentity(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins the content address of the default s27 compilation.
+// Adding or removing execution-only Config fields must not move it: a moved
+// key silently orphans every artifact already in a store. Only a deliberate
+// SchemaVersion bump (or an identity change) may update the value.
+func TestKeyPinned(t *testing.T) {
+	const want = "3b81e4d87a62813a35444bc39c8b18d3719da646f895abe8bd499ae886d1c8c4"
+	k, err := Key(s27Bench(t), expt.InitFor("s27"), expt.CanonicalConfig("s27", expt.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != want {
+		t.Errorf("s27 default key = %s, want %s", k, want)
+	}
+}
+
 func TestKeyRejectsBadNetlist(t *testing.T) {
 	if _, err := Key([]byte("this is not a bench file"), logic.X, expt.Config{}); err == nil {
 		t.Fatal("malformed netlist accepted")

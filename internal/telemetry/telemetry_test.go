@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +118,56 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if events[0].Duration() < 0 || events[0].Start.IsZero() {
 		t.Errorf("bad timing in %+v", events[0])
+	}
+}
+
+// TestReadJSONLRoundTrip: what JSONLSink writes, ReadJSONL folds back into
+// the same per-phase totals the in-process aggregator computes (the path
+// behind `wbist report -from-metrics`). Blank lines are skipped.
+func TestReadJSONLRoundTrip(t *testing.T) {
+	t0 := time.Unix(1700000000, 0).UTC()
+	events := []SpanEvent{
+		{Span: "pipeline/atpg", Start: t0, DurationNS: 300, AllocBytes: 10,
+			Counters: map[string]int64{"fsim.vectors": 41, "podem.backtracks": 2}},
+		{Span: "pipeline/core", Start: t0, DurationNS: 500, AllocBytes: 20,
+			Counters: map[string]int64{"fsim.vectors": 7}},
+		{Span: "pipeline/atpg", Start: t0, DurationNS: 200, AllocBytes: 5,
+			Counters: map[string]int64{"fsim.vectors": 1}},
+		{Span: "pipeline", Start: t0, DurationNS: 1000},
+	}
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	agg := NewAggregator()
+	for i, ev := range events {
+		sink.Record(ev)
+		agg.Record(ev)
+		if i == 1 {
+			buf.WriteString("\n")
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatalf("ReadJSONL: %v", err)
+	}
+	want := agg.Phases()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadJSONL = %+v\nwant %+v", got, want)
+	}
+	if len(got) != 3 || got[0].Span != "pipeline/atpg" || got[0].Count != 2 ||
+		got[0].WallNS != 500 || got[0].AllocBytes != 15 || got[0].Counters["fsim.vectors"] != 42 {
+		t.Errorf("implausible totals: %+v", got)
+	}
+}
+
+// TestReadJSONLMalformedLine: a line that is not a span event is an error
+// naming its line number, not a silently short report.
+func TestReadJSONLMalformedLine(t *testing.T) {
+	in := `{"span":"pipeline","duration_ns":1}` + "\n" + `{"span": oops}` + "\n"
+	if _, err := ReadJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("ReadJSONL(malformed) err = %v, want a line-2 error", err)
 	}
 }
 
