@@ -21,7 +21,7 @@ import (
 //
 //	go test ./internal/fsim -bench BenchmarkKernel
 //
-// and see BENCH_event.json (make bench-kernel) for the committed suite-wide
+// and see BENCH_kernel.json (make bench-kernel) for the committed suite-wide
 // numbers.
 
 // kernelBenchCases is the benchmark menagerie: two synthetic rcg circuits

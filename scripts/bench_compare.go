@@ -3,15 +3,14 @@
 // counters. It is the teeth behind `make bench-check` and the advisory
 // bench-regression CI job.
 //
-// Four baseline schemas are supported, selected by -mode:
+// The comparer is chosen by the baseline's schema field:
 //
-//	pipeline  wbist-bench-pipeline/v1 (BENCH_pipeline.json, BENCH_parallel.json)
-//	kernel    wbist-bench-kernel/v1   (BENCH_event.json)
-//	slab      wbist-bench-slab/v1     (BENCH_slab.json)
-//	model     wbist-bench-model/v1    (BENCH_model.json)
+//	wbist-bench-pipeline/v1  BENCH_pipeline.json (make bench-json)
+//	wbist-bench-kernel/v2    BENCH_kernel.json   (make bench-kernel)
 //
-// Only circuits present in both files are compared, so a cheap smoke run
-// (-circuits s298) can be checked against the full committed trajectory.
+// Only circuits (kernel file: circuit × model × kernel rows) present in both
+// files are compared, so a cheap smoke run (-circuits s298) can be checked
+// against the full committed trajectory.
 //
 // Gating policy: the pipeline is deterministic for a fixed seed, so the
 // work counters must match the baseline EXACTLY —
@@ -21,13 +20,17 @@
 //     every avoided evaluation as skipped;
 //   - fsim.vectors, fsim.group_passes, fsim.faults_dropped,
 //     core.candidates_scored, podem.backtracks, which are identical for any
-//     worker count and either kernel (outcomes are bit-identical).
+//     worker count and any kernel (outcomes are bit-identical).
 //
-// fsim.cone_hits and fsim.events_scheduled are kernel internals and only
-// reported. Wall-clock is never gated — baselines are recorded on other
-// machines — but ratios outside -wall-tol are listed so a human can react.
-// When $GITHUB_STEP_SUMMARY is set (or -summary given) a markdown table of
-// every comparison is appended there.
+// For the kernel file, each circuit × model's faults, groups, detected,
+// vectors and dense gate_evals must match the baseline exactly, and within
+// the fresh file every kernel's vectors, detected and effective evals must
+// equal dense's. fsim.cone_hits, fsim.events_scheduled and the other kernel
+// internals (slab batch counters, allocations) are only reported.
+// Wall-clock is never gated — baselines are recorded on other machines — but
+// ratios outside -wall-tol are listed so a human can react. When
+// $GITHUB_STEP_SUMMARY is set (or -summary given) a markdown table of every
+// comparison is appended there.
 //
 // Exit status: 1 on any exact-counter mismatch (or I/O/schema error), 0
 // otherwise.
@@ -55,64 +58,34 @@ type pipelineCircuit struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-type kernelStats struct {
-	WallNS          int64 `json:"wall_ns"`
-	GateEvals       int64 `json:"gate_evals"`
-	EventsScheduled int64 `json:"events_scheduled"`
-	GatesSkipped    int64 `json:"gates_skipped"`
-	ConeHits        int64 `json:"cone_hits"`
-}
-
-type kernelCircuit struct {
-	Circuit string      `json:"circuit"`
-	Faults  int         `json:"faults"`
-	Vectors int64       `json:"vectors"`
-	Dense   kernelStats `json:"dense"`
-	Event   kernelStats `json:"event"`
-}
-
-type slabKernelStats struct {
-	WallNS       int64 `json:"wall_ns"`
-	GateEvals    int64 `json:"gate_evals"`
-	AllocsPerRun int64 `json:"allocs_per_run"`
-}
-
-type slabCircuit struct {
-	Circuit string          `json:"circuit"`
-	Faults  int             `json:"faults"`
-	Groups  int             `json:"groups"`
-	Vectors int64           `json:"vectors"`
-	Dense   slabKernelStats `json:"dense"`
-	Event   slabKernelStats `json:"event"`
-	Slab    struct {
-		slabKernelStats
-		SlabPasses int64 `json:"slab_passes"`
-		LanesIdle  int64 `json:"lanes_idle"`
+// kernelRow is one circuit × model × kernel row of a kernel file.
+type kernelRow struct {
+	Circuit   string `json:"circuit"`
+	Model     string `json:"model"`
+	Kernel    string `json:"kernel"`
+	Faults    int    `json:"faults"`
+	Groups    int    `json:"groups"`
+	WallNS    int64  `json:"wall_ns"`
+	GateEvals int64  `json:"gate_evals"`
+	Vectors   int64  `json:"vectors"`
+	Detected  int    `json:"detected"`
+	Event     struct {
+		EventsScheduled int64 `json:"events_scheduled"`
+		GatesSkipped    int64 `json:"gates_skipped"`
+		ConeHits        int64 `json:"cone_hits"`
+		SweepFallbacks  int64 `json:"sweep_fallbacks"`
+	} `json:"event"`
+	Slab struct {
+		SlabPasses   int64 `json:"slab_passes"`
+		LanesIdle    int64 `json:"lanes_idle"`
+		AllocsPerRun int64 `json:"allocs_per_run"`
 	} `json:"slab"`
 }
 
-type modelKernelStats struct {
-	WallNS    int64 `json:"wall_ns"`
-	GateEvals int64 `json:"gate_evals"`
-	Vectors   int64 `json:"vectors"`
-}
-
-type modelStats struct {
-	Model    string           `json:"model"`
-	Faults   int              `json:"faults"`
-	Detected int              `json:"detected"`
-	Dense    modelKernelStats `json:"dense"`
-	Event    modelKernelStats `json:"event"`
-}
-
-type modelCircuit struct {
-	Circuit string       `json:"circuit"`
-	Models  []modelStats `json:"models"`
-}
-
-type benchFile struct {
-	Schema   string          `json:"schema"`
-	Circuits json.RawMessage `json:"circuits"`
+// comparers maps each baseline schema to its comparer.
+var comparers = map[string]func(basePath, freshPath string, tol float64) ([]row, error){
+	"wbist-bench-pipeline/v1": comparePipeline,
+	"wbist-bench-kernel/v2":   compareKernel,
 }
 
 // exactCounters are the gated per-circuit totals (beyond effective evals).
@@ -134,7 +107,6 @@ type row struct {
 }
 
 func main() {
-	mode := flag.String("mode", "pipeline", "baseline schema: pipeline, kernel, slab or model")
 	baseline := flag.String("baseline", "", "committed BENCH_*.json baseline (required)")
 	fresh := flag.String("fresh", "", "freshly measured benchmark file (required)")
 	wallTol := flag.Float64("wall-tol", 0.5, "advisory wall-clock tolerance (fractional, e.g. 0.5 = ±50%)")
@@ -145,20 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var rows []row
-	var err error
-	switch *mode {
-	case "pipeline":
-		rows, err = comparePipeline(*baseline, *fresh, *wallTol)
-	case "kernel":
-		rows, err = compareKernel(*baseline, *fresh, *wallTol)
-	case "slab":
-		rows, err = compareSlab(*baseline, *fresh, *wallTol)
-	case "model":
-		rows, err = compareModel(*baseline, *fresh, *wallTol)
-	default:
-		err = fmt.Errorf("unknown -mode %q (want pipeline, kernel, slab or model)", *mode)
-	}
+	schema, rows, err := compare(*baseline, *fresh, *wallTol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench_compare: %v\n", err)
 		os.Exit(1)
@@ -166,7 +125,7 @@ func main() {
 
 	failed := render(os.Stdout, *baseline, *fresh, rows)
 	if *summary != "" {
-		if err := appendMarkdown(*summary, *mode, *baseline, rows); err != nil {
+		if err := appendMarkdown(*summary, schema, *baseline, rows); err != nil {
 			fmt.Fprintf(os.Stderr, "bench_compare: summary: %v\n", err)
 		}
 	}
@@ -177,24 +136,56 @@ func main() {
 	fmt.Printf("bench_compare: OK — counters match %s\n", *baseline)
 }
 
-func load(path string, circuits any) (string, error) {
+// compare runs the comparer of the baseline's schema and returns that
+// schema with the comparison rows.
+func compare(basePath, freshPath string, tol float64) (string, []row, error) {
+	schema, err := load(basePath, nil)
+	if err != nil {
+		return "", nil, err
+	}
+	cmp, ok := comparers[schema]
+	if !ok {
+		return schema, nil, fmt.Errorf("%s: unknown schema %q", basePath, schema)
+	}
+	rows, err := cmp(basePath, freshPath, tol)
+	return schema, rows, err
+}
+
+// load decodes the benchmark file at path into v (skipped when nil) and
+// returns its schema.
+func load(path string, v any) (string, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
 	}
-	var f benchFile
-	if err := json.Unmarshal(b, &f); err != nil {
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(b, &head); err != nil {
 		return "", fmt.Errorf("%s: %v", path, err)
 	}
-	if err := json.Unmarshal(f.Circuits, circuits); err != nil {
-		return "", fmt.Errorf("%s: circuits: %v", path, err)
+	if v != nil {
+		if err := json.Unmarshal(b, v); err != nil {
+			return "", fmt.Errorf("%s: %v", path, err)
+		}
 	}
-	return f.Schema, nil
+	return head.Schema, nil
 }
 
-func wantSchema(path, got, want string) error {
-	if got != want {
-		return fmt.Errorf("%s: schema %q, want %q", path, got, want)
+// loadPair decodes a baseline and a fresh file, both of which must carry
+// schema.
+func loadPair(basePath, freshPath, schema string, base, fresh any) error {
+	for _, f := range []struct {
+		path string
+		v    any
+	}{{basePath, base}, {freshPath, fresh}} {
+		got, err := load(f.path, f.v)
+		if err != nil {
+			return err
+		}
+		if got != schema {
+			return fmt.Errorf("%s: schema %q, want %q", f.path, got, schema)
+		}
 	}
 	return nil
 }
@@ -235,27 +226,19 @@ func wall(rows []row, circuit, metric string, base, fresh int64, tol float64) []
 }
 
 func comparePipeline(basePath, freshPath string, tol float64) ([]row, error) {
-	var base, fresh []pipelineCircuit
-	schema, err := load(basePath, &base)
-	if err != nil {
-		return nil, err
+	var base, fresh struct {
+		Circuits []pipelineCircuit `json:"circuits"`
 	}
-	if err := wantSchema(basePath, schema, "wbist-bench-pipeline/v1"); err != nil {
-		return nil, err
-	}
-	if schema, err = load(freshPath, &fresh); err != nil {
-		return nil, err
-	}
-	if err := wantSchema(freshPath, schema, "wbist-bench-pipeline/v1"); err != nil {
+	if err := loadPair(basePath, freshPath, "wbist-bench-pipeline/v1", &base, &fresh); err != nil {
 		return nil, err
 	}
 	byName := map[string]pipelineCircuit{}
-	for _, c := range base {
+	for _, c := range base.Circuits {
 		byName[c.Circuit] = c
 	}
 	var rows []row
 	matched := 0
-	for _, f := range fresh {
+	for _, f := range fresh.Circuits {
 		b, ok := byName[f.Circuit]
 		if !ok {
 			rows = append(rows, row{f.Circuit, "(not in baseline)", "-", "-", "info"})
@@ -288,167 +271,70 @@ func comparePipeline(basePath, freshPath string, tol float64) ([]row, error) {
 	return rows, nil
 }
 
+// compareKernel gates a kernel file: per circuit × model, the dense row's
+// deterministic counters against the baseline, and every other kernel's
+// vectors, detected and effective evals against the fresh dense row (the
+// kernels are bit-identical, and the event kernel counts every avoided
+// evaluation as skipped). The fresh-file invariants are gated even on rows
+// the baseline lacks.
 func compareKernel(basePath, freshPath string, tol float64) ([]row, error) {
-	var base, fresh []kernelCircuit
-	schema, err := load(basePath, &base)
-	if err != nil {
+	var base, fresh struct {
+		Rows []kernelRow `json:"rows"`
+	}
+	if err := loadPair(basePath, freshPath, "wbist-bench-kernel/v2", &base, &fresh); err != nil {
 		return nil, err
 	}
-	if err := wantSchema(basePath, schema, "wbist-bench-kernel/v1"); err != nil {
-		return nil, err
+	key := func(r kernelRow, kernel string) string { return r.Circuit + "/" + r.Model + "/" + kernel }
+	baseRows, dense := map[string]kernelRow{}, map[string]kernelRow{}
+	for _, r := range base.Rows {
+		baseRows[key(r, r.Kernel)] = r
 	}
-	if schema, err = load(freshPath, &fresh); err != nil {
-		return nil, err
-	}
-	if err := wantSchema(freshPath, schema, "wbist-bench-kernel/v1"); err != nil {
-		return nil, err
-	}
-	byName := map[string]kernelCircuit{}
-	for _, c := range base {
-		byName[c.Circuit] = c
+	for _, r := range fresh.Rows {
+		if r.Kernel == "dense" {
+			dense[key(r, "dense")] = r
+		}
 	}
 	var rows []row
 	matched := 0
-	for _, f := range fresh {
-		b, ok := byName[f.Circuit]
+	for _, f := range fresh.Rows {
+		m := f.Model + "." + f.Kernel
+		d, ok := dense[key(f, "dense")]
 		if !ok {
-			rows = append(rows, row{f.Circuit, "(not in baseline)", "-", "-", "info"})
+			return nil, fmt.Errorf("%s: %s %s has no dense row", freshPath, f.Circuit, m)
+		}
+		if f.Kernel != "dense" {
+			rows = exact(rows, f.Circuit, m+".vectors (vs dense)", d.Vectors, f.Vectors)
+			rows = exact(rows, f.Circuit, m+".detected (vs dense)", int64(d.Detected), int64(f.Detected))
+			rows = exact(rows, f.Circuit, m+".effective_evals (vs dense)",
+				d.GateEvals, f.GateEvals+f.Event.GatesSkipped)
+		}
+		b, ok := baseRows[key(f, f.Kernel)]
+		if !ok {
+			rows = append(rows, row{f.Circuit, m + " (not in baseline)", "-", "-", "info"})
 			continue
 		}
 		matched++
-		rows = exact(rows, f.Circuit, "vectors", b.Vectors, f.Vectors)
-		rows = exact(rows, f.Circuit, "faults", int64(b.Faults), int64(f.Faults))
-		rows = exact(rows, f.Circuit, "dense.gate_evals", b.Dense.GateEvals, f.Dense.GateEvals)
-		rows = exact(rows, f.Circuit, "event.effective_evals",
-			b.Event.GateEvals+b.Event.GatesSkipped, f.Event.GateEvals+f.Event.GatesSkipped)
-		rows = info(rows, f.Circuit, "event.gate_evals", b.Event.GateEvals, f.Event.GateEvals)
-		rows = info(rows, f.Circuit, "event.events_scheduled", b.Event.EventsScheduled, f.Event.EventsScheduled)
-		rows = info(rows, f.Circuit, "event.cone_hits", b.Event.ConeHits, f.Event.ConeHits)
-		rows = wall(rows, f.Circuit, "dense.wall", b.Dense.WallNS, f.Dense.WallNS, tol)
-		rows = wall(rows, f.Circuit, "event.wall", b.Event.WallNS, f.Event.WallNS, tol)
+		switch f.Kernel {
+		case "dense":
+			rows = exact(rows, f.Circuit, f.Model+".faults", int64(b.Faults), int64(f.Faults))
+			rows = exact(rows, f.Circuit, f.Model+".groups", int64(b.Groups), int64(f.Groups))
+			rows = exact(rows, f.Circuit, f.Model+".detected", int64(b.Detected), int64(f.Detected))
+			rows = exact(rows, f.Circuit, f.Model+".vectors", b.Vectors, f.Vectors)
+			rows = exact(rows, f.Circuit, m+".gate_evals", b.GateEvals, f.GateEvals)
+		case "event":
+			rows = info(rows, f.Circuit, m+".gate_evals", b.GateEvals, f.GateEvals)
+			rows = info(rows, f.Circuit, m+".events_scheduled", b.Event.EventsScheduled, f.Event.EventsScheduled)
+			rows = info(rows, f.Circuit, m+".cone_hits", b.Event.ConeHits, f.Event.ConeHits)
+			rows = info(rows, f.Circuit, m+".sweep_fallbacks", b.Event.SweepFallbacks, f.Event.SweepFallbacks)
+		case "slab":
+			rows = info(rows, f.Circuit, m+".slab_passes", b.Slab.SlabPasses, f.Slab.SlabPasses)
+			rows = info(rows, f.Circuit, m+".lanes_idle", b.Slab.LanesIdle, f.Slab.LanesIdle)
+			rows = info(rows, f.Circuit, m+".allocs_per_run", b.Slab.AllocsPerRun, f.Slab.AllocsPerRun)
+		}
+		rows = wall(rows, f.Circuit, m+".wall", b.WallNS, f.WallNS, tol)
 	}
 	if matched == 0 {
-		return nil, fmt.Errorf("no circuits of %s appear in %s", freshPath, basePath)
-	}
-	return rows, nil
-}
-
-func compareSlab(basePath, freshPath string, tol float64) ([]row, error) {
-	var base, fresh []slabCircuit
-	schema, err := load(basePath, &base)
-	if err != nil {
-		return nil, err
-	}
-	if err := wantSchema(basePath, schema, "wbist-bench-slab/v1"); err != nil {
-		return nil, err
-	}
-	if schema, err = load(freshPath, &fresh); err != nil {
-		return nil, err
-	}
-	if err := wantSchema(freshPath, schema, "wbist-bench-slab/v1"); err != nil {
-		return nil, err
-	}
-	byName := map[string]slabCircuit{}
-	for _, c := range base {
-		byName[c.Circuit] = c
-	}
-	var rows []row
-	matched := 0
-	for _, f := range fresh {
-		// The slab kernel counts dense-equivalent evals (lane-cycles ×
-		// gates), so slab.gate_evals must equal dense.gate_evals within one
-		// measurement — a deterministic invariant gated on the fresh file
-		// alone, before any baseline comparison.
-		rows = exact(rows, f.Circuit, "slab.gate_evals (vs dense)",
-			f.Dense.GateEvals, f.Slab.GateEvals)
-		b, ok := byName[f.Circuit]
-		if !ok {
-			rows = append(rows, row{f.Circuit, "(not in baseline)", "-", "-", "info"})
-			continue
-		}
-		matched++
-		rows = exact(rows, f.Circuit, "vectors", b.Vectors, f.Vectors)
-		rows = exact(rows, f.Circuit, "faults", int64(b.Faults), int64(f.Faults))
-		rows = exact(rows, f.Circuit, "groups", int64(b.Groups), int64(f.Groups))
-		rows = exact(rows, f.Circuit, "dense.gate_evals", b.Dense.GateEvals, f.Dense.GateEvals)
-		rows = info(rows, f.Circuit, "slab.slab_passes", b.Slab.SlabPasses, f.Slab.SlabPasses)
-		rows = info(rows, f.Circuit, "slab.lanes_idle", b.Slab.LanesIdle, f.Slab.LanesIdle)
-		rows = info(rows, f.Circuit, "slab.allocs_per_run", b.Slab.AllocsPerRun, f.Slab.AllocsPerRun)
-		rows = wall(rows, f.Circuit, "dense.wall", b.Dense.WallNS, f.Dense.WallNS, tol)
-		rows = wall(rows, f.Circuit, "event.wall", b.Event.WallNS, f.Event.WallNS, tol)
-		rows = wall(rows, f.Circuit, "slab.wall", b.Slab.WallNS, f.Slab.WallNS, tol)
-	}
-	if matched == 0 {
-		return nil, fmt.Errorf("no circuits of %s appear in %s", freshPath, basePath)
-	}
-	return rows, nil
-}
-
-// compareModel gates the per-fault-model kernel baseline. Each model's fault
-// universe, detection count and dense gate-eval total are deterministic for a
-// fixed seed, so they must match the baseline exactly; and within the fresh
-// measurement alone the dense and event kernels must report the same vector
-// count (bit-identical outcomes mean the all-detected early exit fires at the
-// same time unit in both). The event kernel's raw gate_evals shift with
-// warm-start state, so they are informational; wall-clock is advisory, as
-// everywhere.
-func compareModel(basePath, freshPath string, tol float64) ([]row, error) {
-	var base, fresh []modelCircuit
-	schema, err := load(basePath, &base)
-	if err != nil {
-		return nil, err
-	}
-	if err := wantSchema(basePath, schema, "wbist-bench-model/v1"); err != nil {
-		return nil, err
-	}
-	if schema, err = load(freshPath, &fresh); err != nil {
-		return nil, err
-	}
-	if err := wantSchema(freshPath, schema, "wbist-bench-model/v1"); err != nil {
-		return nil, err
-	}
-	byName := map[string]modelCircuit{}
-	for _, c := range base {
-		byName[c.Circuit] = c
-	}
-	var rows []row
-	matched := 0
-	for _, f := range fresh {
-		// Cross-kernel invariance within the fresh measurement, gated before
-		// any baseline comparison.
-		for _, m := range f.Models {
-			rows = exact(rows, f.Circuit, m.Model+".vectors (event vs dense)",
-				m.Dense.Vectors, m.Event.Vectors)
-		}
-		b, ok := byName[f.Circuit]
-		if !ok {
-			rows = append(rows, row{f.Circuit, "(not in baseline)", "-", "-", "info"})
-			continue
-		}
-		matched++
-		for _, m := range f.Models {
-			bm, found := modelStats{}, false
-			for _, cand := range b.Models {
-				if cand.Model == m.Model {
-					bm, found = cand, true
-					break
-				}
-			}
-			if !found {
-				rows = append(rows, row{f.Circuit, m.Model + " (not in baseline)", "-", "-", "info"})
-				continue
-			}
-			rows = exact(rows, f.Circuit, m.Model+".faults", int64(bm.Faults), int64(m.Faults))
-			rows = exact(rows, f.Circuit, m.Model+".detected", int64(bm.Detected), int64(m.Detected))
-			rows = exact(rows, f.Circuit, m.Model+".dense.gate_evals", bm.Dense.GateEvals, m.Dense.GateEvals)
-			rows = exact(rows, f.Circuit, m.Model+".vectors", bm.Dense.Vectors, m.Dense.Vectors)
-			rows = info(rows, f.Circuit, m.Model+".event.gate_evals", bm.Event.GateEvals, m.Event.GateEvals)
-			rows = wall(rows, f.Circuit, m.Model+".dense.wall", bm.Dense.WallNS, m.Dense.WallNS, tol)
-			rows = wall(rows, f.Circuit, m.Model+".event.wall", bm.Event.WallNS, m.Event.WallNS, tol)
-		}
-	}
-	if matched == 0 {
-		return nil, fmt.Errorf("no circuits of %s appear in %s", freshPath, basePath)
+		return nil, fmt.Errorf("no rows of %s appear in %s", freshPath, basePath)
 	}
 	return rows, nil
 }
@@ -466,21 +352,16 @@ func render(w io.Writer, basePath, freshPath string, rows []row) int {
 		case strings.HasPrefix(r.status, "slow"), strings.HasPrefix(r.status, "fast"):
 			marker = "~"
 		}
-		fmt.Fprintf(w, "%s %-8s %-28s base=%-14s fresh=%-14s %s\n",
+		fmt.Fprintf(w, "%s %-8s %-44s base=%-14s fresh=%-14s %s\n",
 			marker, r.circuit, r.metric, r.base, r.fresh, r.status)
 	}
 	return failed
 }
 
-// appendMarkdown appends a GitHub job-summary table. Only rows a human
-// should look at (failures and wall-clock outliers) are listed in full; ok
-// rows are summarized by count.
-func appendMarkdown(path, mode, basePath string, rows []row) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// appendMarkdown appends a GitHub job-summary table headed by the baseline's
+// schema. Only rows a human should look at (failures and wall-clock
+// outliers) are listed in full; ok rows are summarized by count.
+func appendMarkdown(path, schema, basePath string, rows []row) error {
 	var b strings.Builder
 	ok := 0
 	var flagged []row
@@ -494,7 +375,7 @@ func appendMarkdown(path, mode, basePath string, rows []row) error {
 			ok++
 		}
 	}
-	fmt.Fprintf(&b, "### bench-check (%s) vs `%s`\n\n", mode, basePath)
+	fmt.Fprintf(&b, "### bench-check (%s) vs `%s`\n\n", schema, basePath)
 	fmt.Fprintf(&b, "%d row(s) ok, %d flagged.\n\n", ok, len(flagged))
 	if len(flagged) > 0 {
 		fmt.Fprintf(&b, "| circuit | metric | baseline | fresh | status |\n")
@@ -505,6 +386,13 @@ func appendMarkdown(path, mode, basePath string, rows []row) error {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	_, err = io.WriteString(f, b.String())
-	return err
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := io.WriteString(f, b.String()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,57 +108,6 @@ func TestComparePipelineSchemaMismatch(t *testing.T) {
 	}
 }
 
-const kernelBase = `{
-  "schema": "wbist-bench-kernel/v1",
-  "circuits": [
-    {"circuit": "s27", "faults": 26, "vectors": 2000,
-     "dense": {"wall_ns": 300000, "gate_evals": 20000},
-     "event": {"wall_ns": 250000, "gate_evals": 5000, "gates_skipped": 15000,
-               "events_scheduled": 5000, "cone_hits": 5000}}
-  ]
-}`
-
-func TestCompareKernel(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", kernelBase)
-	// Same effective evals, different split; event wall 10x faster.
-	fresh := writeFile(t, dir, "fresh.json", `{
-  "schema": "wbist-bench-kernel/v1",
-  "circuits": [
-    {"circuit": "s27", "faults": 26, "vectors": 2000,
-     "dense": {"wall_ns": 310000, "gate_evals": 20000},
-     "event": {"wall_ns": 25000, "gate_evals": 6000, "gates_skipped": 14000,
-               "events_scheduled": 6000, "cone_hits": 5500}}
-  ]
-}`)
-	rows, err := compareKernel(base, fresh, 0.5)
-	if err != nil {
-		t.Fatalf("compareKernel: %v", err)
-	}
-	byMetric := map[string]row{}
-	for _, r := range rows {
-		byMetric[r.metric] = r
-	}
-	for _, m := range []string{"vectors", "faults", "dense.gate_evals", "event.effective_evals"} {
-		if r := byMetric[m]; r.status != "ok" {
-			t.Errorf("%s row = %+v", m, r)
-		}
-	}
-	if r := byMetric["event.gate_evals"]; r.status != "info" {
-		t.Errorf("event split row gated: %+v", r)
-	}
-	if r := byMetric["event.wall"]; !strings.HasPrefix(r.status, "fast") {
-		t.Errorf("10x-faster wall row = %+v", r)
-	}
-	if r := byMetric["dense.wall"]; r.status != "ok" {
-		t.Errorf("in-tolerance wall row = %+v", r)
-	}
-	var buf bytes.Buffer
-	if failed := render(&buf, base, fresh, rows); failed != 0 {
-		t.Errorf("render counted %d failures, want 0:\n%s", failed, buf.String())
-	}
-}
-
 func TestAppendMarkdown(t *testing.T) {
 	dir := t.TempDir()
 	sum := filepath.Join(dir, "summary.md")
@@ -167,11 +117,11 @@ func TestAppendMarkdown(t *testing.T) {
 		{"s298", "effective_evals", "1000", "1000", "ok"},
 		{"s298", "fsim.cone_hits", "0", "7", "info"},
 	}
-	if err := appendMarkdown(sum, "pipeline", "BENCH_pipeline.json", rows); err != nil {
+	if err := appendMarkdown(sum, "wbist-bench-pipeline/v1", "BENCH_pipeline.json", rows); err != nil {
 		t.Fatalf("appendMarkdown: %v", err)
 	}
 	// Appends, never truncates.
-	if err := appendMarkdown(sum, "pipeline", "BENCH_pipeline.json", rows[2:]); err != nil {
+	if err := appendMarkdown(sum, "wbist-bench-pipeline/v1", "BENCH_pipeline.json", rows[2:]); err != nil {
 		t.Fatalf("appendMarkdown (second): %v", err)
 	}
 	b, err := os.ReadFile(sum)
@@ -179,7 +129,7 @@ func TestAppendMarkdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(b)
-	if strings.Count(out, "### bench-check (pipeline)") != 2 {
+	if strings.Count(out, "### bench-check (wbist-bench-pipeline/v1)") != 2 {
 		t.Errorf("summary does not append:\n%s", out)
 	}
 	if !strings.Contains(out, "| s298 | fsim.vectors | 50 | 51 | FAIL |") ||
@@ -191,6 +141,10 @@ func TestAppendMarkdown(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 row(s) ok, 2 flagged.") {
 		t.Errorf("summary counts wrong:\n%s", out)
+	}
+	// An unwritable summary path is reported, not swallowed.
+	if err := appendMarkdown(dir, "wbist-bench-pipeline/v1", "BENCH_pipeline.json", rows); err == nil {
+		t.Error("appendMarkdown to a directory did not error")
 	}
 }
 
@@ -218,196 +172,191 @@ func TestWallStatus(t *testing.T) {
 	}
 }
 
-const slabBase = `{
-  "schema": "wbist-bench-slab/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "vectors": 3000,
-     "dense": {"wall_ns": 900000, "gate_evals": 40000},
-     "event": {"wall_ns": 800000, "gate_evals": 15000},
-     "slab": {"wall_ns": 500000, "gate_evals": 40000, "allocs_per_run": 7,
-              "slab_passes": 12, "lanes_idle": 3}}
-  ]
-}`
+// kernelBaseRows is a kernel baseline: s298 stuck-at on all three kernels
+// and transition on dense and event.
+func kernelBaseRows() []kernelRow {
+	r := []kernelRow{
+		{Circuit: "s298", Model: "stuck-at", Kernel: "dense", Faults: 496, Groups: 8, WallNS: 14e6, GateEvals: 952000, Vectors: 8000, Detected: 370},
+		{Circuit: "s298", Model: "stuck-at", Kernel: "event", Faults: 496, Groups: 8, WallNS: 13e6, GateEvals: 900000, Vectors: 8000, Detected: 370},
+		{Circuit: "s298", Model: "stuck-at", Kernel: "slab", Faults: 496, Groups: 8, WallNS: 7e6, GateEvals: 952000, Vectors: 8000, Detected: 370},
+		{Circuit: "s298", Model: "transition", Kernel: "dense", Faults: 272, Groups: 5, WallNS: 15e6, GateEvals: 595000, Vectors: 5000, Detected: 197},
+		{Circuit: "s298", Model: "transition", Kernel: "event", Faults: 272, Groups: 5, WallNS: 15e6, GateEvals: 595000, Vectors: 5000, Detected: 197},
+	}
+	r[1].Event.GatesSkipped, r[1].Event.EventsScheduled = 52000, 900000
+	r[2].Slab.SlabPasses, r[2].Slab.AllocsPerRun = 1, 7
+	return r
+}
 
-func TestCompareSlab(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", slabBase)
-	// Fresh run on a slower machine: identical counters, slab wall 2x slower,
-	// plus a circuit the baseline has never seen.
-	fresh := writeFile(t, dir, "fresh.json", `{
-  "schema": "wbist-bench-slab/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "vectors": 3000,
-     "dense": {"wall_ns": 950000, "gate_evals": 40000},
-     "event": {"wall_ns": 820000, "gate_evals": 15000},
-     "slab": {"wall_ns": 1000000, "gate_evals": 40000, "allocs_per_run": 7,
-              "slab_passes": 12, "lanes_idle": 3}},
-    {"circuit": "zz9", "faults": 1, "groups": 1, "vectors": 1,
-     "dense": {"gate_evals": 10}, "slab": {"gate_evals": 10}}
-  ]
-}`)
-	rows, err := compareSlab(base, fresh, 0.5)
+func kernelFile(t *testing.T, rows []kernelRow) string {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Schema string      `json:"schema"`
+		Rows   []kernelRow `json:"rows"`
+	}{"wbist-bench-kernel/v2", rows})
 	if err != nil {
-		t.Fatalf("compareSlab: %v", err)
+		t.Fatal(err)
 	}
-	byMetric := map[string]row{}
-	for _, r := range rows {
-		byMetric[r.circuit+"/"+r.metric] = r
-	}
-	for _, m := range []string{"slab.gate_evals (vs dense)", "vectors", "faults",
-		"groups", "dense.gate_evals"} {
-		if r := byMetric["s298/"+m]; r.status != "ok" {
-			t.Errorf("%s row = %+v", m, r)
-		}
-	}
-	if r := byMetric["s298/slab.allocs_per_run"]; r.status != "info" {
-		t.Errorf("alloc row gated: %+v", r)
-	}
-	if r := byMetric["s298/slab.wall"]; !strings.HasPrefix(r.status, "slow") {
-		t.Errorf("2x slab wall row = %+v", r)
-	}
-	// The dense-equivalence invariant is gated on the fresh file alone, even
-	// for circuits absent from the baseline.
-	if r := byMetric["zz9/slab.gate_evals (vs dense)"]; r.status != "ok" {
-		t.Errorf("fresh-only invariant row = %+v", r)
-	}
-	if r := byMetric["zz9/(not in baseline)"]; r.status != "info" {
-		t.Errorf("unknown circuit row = %+v", r)
-	}
+	return string(b)
+}
 
-	// A slab/dense eval mismatch in the fresh file must FAIL with no
-	// baseline involvement.
-	broken := writeFile(t, dir, "broken.json", `{
-  "schema": "wbist-bench-slab/v1",
-  "circuits": [
-    {"circuit": "s298", "faults": 596, "groups": 5, "vectors": 3000,
-     "dense": {"gate_evals": 40000}, "event": {"gate_evals": 15000},
-     "slab": {"gate_evals": 39999, "slab_passes": 12}}
-  ]
-}`)
-	rows, err = compareSlab(base, broken, 0.5)
-	if err != nil {
-		t.Fatalf("compareSlab(broken): %v", err)
-	}
-	var buf bytes.Buffer
-	if failed := render(&buf, base, broken, rows); failed == 0 {
-		t.Errorf("diverged slab evals not counted as failure:\n%s", buf.String())
-	}
-	if _, err := compareSlab(base, writeFile(t, dir, "none.json",
-		`{"schema": "wbist-bench-slab/v1", "circuits": [{"circuit": "zz", "dense": {}, "slab": {}}]}`), 0.5); err == nil {
-		t.Error("no-overlap compare did not error")
-	}
-	if _, err := compareSlab(writeFile(t, dir, "wrong.json",
-		`{"schema": "wbist-bench-kernel/v1", "circuits": []}`), fresh, 0.5); err == nil {
-		t.Error("schema mismatch did not error")
+// kernelCase is one compare input over kernel files.
+type kernelCase struct {
+	name   string
+	base   string // baseline content ("" = kernelBaseRows)
+	fresh  string // fresh content ("" = kernelBaseRows after mutate)
+	mutate func(r []kernelRow) []kernelRow
+	// wantFail is the one FAIL row (circuit/metric); wantStatus maps rows
+	// to a status prefix; wantErr is a substring of the expected error.
+	wantFail   string
+	wantStatus map[string]string
+	wantErr    string
+}
+
+// runKernelCases runs compare, which dispatches on the baseline schema, on
+// each case and checks its FAIL rows, statuses or error.
+func runKernelCases(t *testing.T, cases []kernelCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.base == "" {
+				tc.base = kernelFile(t, kernelBaseRows())
+			}
+			if tc.fresh == "" {
+				rows := kernelBaseRows()
+				if tc.mutate != nil {
+					rows = tc.mutate(rows)
+				}
+				tc.fresh = kernelFile(t, rows)
+			}
+			base := writeFile(t, dir, "base.json", tc.base)
+			fresh := writeFile(t, dir, "fresh.json", tc.fresh)
+			schema, rows, err := compare(base, fresh, 0.5)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("compare: %v", err)
+			}
+			if !strings.Contains(tc.base, schema) {
+				t.Errorf("dispatched schema %q", schema)
+			}
+			byMetric := map[string]row{}
+			var fails []string
+			for _, r := range rows {
+				byMetric[r.circuit+"/"+r.metric] = r
+				if r.status == "FAIL" {
+					fails = append(fails, r.circuit+"/"+r.metric)
+				}
+			}
+			if got := strings.Join(fails, ","); got != tc.wantFail {
+				t.Errorf("FAIL rows = %q, want %q", got, tc.wantFail)
+			}
+			for m, st := range tc.wantStatus {
+				if r, ok := byMetric[m]; !ok || !strings.HasPrefix(r.status, st) {
+					t.Errorf("%s row = %+v, want status %q", m, r, st)
+				}
+			}
+			var buf bytes.Buffer
+			if failed := render(&buf, base, fresh, rows); failed != len(fails) {
+				t.Errorf("render counted %d failures, want %d", failed, len(fails))
+			}
+		})
 	}
 }
 
-const modelBase = `{
-  "schema": "wbist-bench-model/v1",
-  "circuits": [
-    {"circuit": "s298", "gates": 119, "models": [
-      {"model": "stuck-at", "faults": 496, "detected": 370,
-       "dense": {"wall_ns": 1600000, "gate_evals": 114240, "vectors": 960},
-       "event": {"wall_ns": 1400000, "gate_evals": 114240, "vectors": 960}},
-      {"model": "transition", "faults": 272, "detected": 197,
-       "dense": {"wall_ns": 1400000, "gate_evals": 71400, "vectors": 600},
-       "event": {"wall_ns": 1300000, "gate_evals": 71400, "vectors": 600}}
-    ]}
-  ]
-}`
+// TestCompareKernel covers the healthy kernel file, baseline drift on the
+// stuck-at counters, the event effective-evals check, schema mismatch, no
+// overlap, and unknown or pipeline baseline schemas.
+func TestCompareKernel(t *testing.T) {
+	runKernelCases(t, []kernelCase{
+		{name: "healthy", mutate: func(r []kernelRow) []kernelRow {
+			// A different event split with the same effective evals, a 3x
+			// slower dense wall, and a circuit the baseline has never seen.
+			r[1].GateEvals, r[1].Event.GatesSkipped = 800000, 152000
+			r[0].WallNS *= 3
+			return append(r,
+				kernelRow{Circuit: "zz9", Model: "stuck-at", Kernel: "dense", GateEvals: 10, Vectors: 4},
+				kernelRow{Circuit: "zz9", Model: "stuck-at", Kernel: "slab", GateEvals: 10, Vectors: 4})
+		}, wantStatus: map[string]string{
+			"s298/stuck-at.faults":                           "ok",
+			"s298/stuck-at.dense.gate_evals":                 "ok",
+			"s298/stuck-at.event.effective_evals (vs dense)": "ok",
+			"s298/stuck-at.event.gate_evals":                 "info",
+			"s298/stuck-at.slab.allocs_per_run":              "info",
+			"s298/stuck-at.dense.wall":                       "slow",
+			"s298/transition.detected":                       "ok",
+			"zz9/stuck-at.slab.vectors (vs dense)":           "ok",
+			"zz9/stuck-at.slab (not in baseline)":            "info",
+		}},
+		{name: "faults drift", mutate: func(r []kernelRow) []kernelRow { r[0].Faults++; return r },
+			wantFail: "s298/stuck-at.faults"},
+		{name: "detected drift", mutate: func(r []kernelRow) []kernelRow {
+			for i := range r[:3] {
+				r[i].Detected++
+			}
+			return r
+		}, wantFail: "s298/stuck-at.detected"},
+		{name: "dense evals drift", mutate: func(r []kernelRow) []kernelRow {
+			for i := range r[:3] {
+				r[i].GateEvals++
+			}
+			return r
+		}, wantFail: "s298/stuck-at.dense.gate_evals"},
+		{name: "event evals mismatch", mutate: func(r []kernelRow) []kernelRow { r[1].Event.GatesSkipped--; return r },
+			wantFail: "s298/stuck-at.event.effective_evals (vs dense)"},
+		{name: "no dense row", mutate: func(r []kernelRow) []kernelRow { return r[1:] },
+			wantErr: "no dense row"},
+		{name: "no overlap", mutate: func(r []kernelRow) []kernelRow {
+			return []kernelRow{{Circuit: "zz", Model: "stuck-at", Kernel: "dense"}}
+		}, wantErr: "no rows"},
+		{name: "fresh schema mismatch", fresh: `{"schema": "wbist-bench-pipeline/v1", "circuits": []}`,
+			wantErr: `schema "wbist-bench-pipeline/v1", want "wbist-bench-kernel/v2"`},
+		{name: "retired baseline schema", base: `{"schema": "wbist-bench-kernel/v1", "circuits": []}`,
+			wantErr: `unknown schema "wbist-bench-kernel/v1"`},
+		{name: "pipeline dispatch", base: pipelineBase, fresh: pipelineBase,
+			wantStatus: map[string]string{"s298/effective_evals": "ok"}},
+	})
+}
 
+// TestCompareSlab covers the slab row checks: slab detections and gate
+// evals must equal dense's, and the stuck-at group count is gated.
+func TestCompareSlab(t *testing.T) {
+	runKernelCases(t, []kernelCase{
+		{name: "slab detected mismatch", mutate: func(r []kernelRow) []kernelRow { r[2].Detected--; return r },
+			wantFail: "s298/stuck-at.slab.detected (vs dense)"},
+		{name: "slab evals mismatch", mutate: func(r []kernelRow) []kernelRow { r[2].GateEvals--; return r },
+			wantFail: "s298/stuck-at.slab.effective_evals (vs dense)"},
+		{name: "stuck-at groups drift", mutate: func(r []kernelRow) []kernelRow {
+			for i := range r[:3] {
+				r[i].Groups++
+			}
+			return r
+		}, wantFail: "s298/stuck-at.groups"},
+	})
+}
+
+// TestCompareModel covers the per-model checks: baseline drift on a model's
+// groups and vectors, and event vectors against dense on transition and on a
+// circuit the baseline has never seen.
 func TestCompareModel(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", modelBase)
-	// Healthy fresh run: identical deterministic counters, transition dense
-	// wall 2x slower, a model and a circuit the baseline has never seen.
-	fresh := writeFile(t, dir, "fresh.json", `{
-  "schema": "wbist-bench-model/v1",
-  "circuits": [
-    {"circuit": "s298", "gates": 119, "models": [
-      {"model": "stuck-at", "faults": 496, "detected": 370,
-       "dense": {"wall_ns": 1700000, "gate_evals": 114240, "vectors": 960},
-       "event": {"wall_ns": 1500000, "gate_evals": 110000, "vectors": 960}},
-      {"model": "transition", "faults": 272, "detected": 197,
-       "dense": {"wall_ns": 2900000, "gate_evals": 71400, "vectors": 600},
-       "event": {"wall_ns": 1350000, "gate_evals": 71400, "vectors": 600}},
-      {"model": "bridge", "faults": 330, "detected": 281,
-       "dense": {"gate_evals": 75803, "vectors": 637},
-       "event": {"gate_evals": 75803, "vectors": 637}}
-    ]},
-    {"circuit": "zz9", "models": [
-      {"model": "stuck-at", "faults": 2, "detected": 1,
-       "dense": {"gate_evals": 10, "vectors": 4},
-       "event": {"gate_evals": 10, "vectors": 4}}
-    ]}
-  ]
-}`)
-	rows, err := compareModel(base, fresh, 0.5)
-	if err != nil {
-		t.Fatalf("compareModel: %v", err)
-	}
-	byMetric := map[string]row{}
-	for _, r := range rows {
-		byMetric[r.circuit+"/"+r.metric] = r
-	}
-	for _, m := range []string{"stuck-at.vectors (event vs dense)",
-		"stuck-at.faults", "stuck-at.detected", "stuck-at.dense.gate_evals",
-		"stuck-at.vectors", "transition.faults", "transition.detected"} {
-		if r := byMetric["s298/"+m]; r.status != "ok" {
-			t.Errorf("%s row = %+v", m, r)
-		}
-	}
-	// The event kernel's raw eval split may drift (warm-start state): info.
-	if r := byMetric["s298/stuck-at.event.gate_evals"]; r.status != "info" {
-		t.Errorf("event split row gated: %+v", r)
-	}
-	if r := byMetric["s298/transition.dense.wall"]; !strings.HasPrefix(r.status, "slow") {
-		t.Errorf("2x wall row = %+v", r)
-	}
-	if r := byMetric["s298/bridge (not in baseline)"]; r.status != "info" {
-		t.Errorf("unknown model row = %+v", r)
-	}
-	// The cross-kernel invariant is gated on the fresh file alone, even for
-	// circuits absent from the baseline.
-	if r := byMetric["zz9/stuck-at.vectors (event vs dense)"]; r.status != "ok" {
-		t.Errorf("fresh-only invariant row = %+v", r)
-	}
-	if r := byMetric["zz9/(not in baseline)"]; r.status != "info" {
-		t.Errorf("unknown circuit row = %+v", r)
-	}
-	var buf bytes.Buffer
-	if failed := render(&buf, base, fresh, rows); failed != 0 {
-		t.Errorf("render counted %d failures, want 0:\n%s", failed, buf.String())
-	}
-
-	// A dense/event vector mismatch in the fresh file alone must FAIL:
-	// kernels are bit-identical per model, whatever the baseline says.
-	broken := writeFile(t, dir, "broken.json", `{
-  "schema": "wbist-bench-model/v1",
-  "circuits": [
-    {"circuit": "s298", "models": [
-      {"model": "stuck-at", "faults": 496, "detected": 370,
-       "dense": {"gate_evals": 114240, "vectors": 960},
-       "event": {"gate_evals": 114240, "vectors": 959}}
-    ]}
-  ]
-}`)
-	rows, err = compareModel(base, broken, 0.5)
-	if err != nil {
-		t.Fatalf("compareModel(broken): %v", err)
-	}
-	buf.Reset()
-	if failed := render(&buf, base, broken, rows); failed == 0 {
-		t.Errorf("cross-kernel vector drift not counted as failure:\n%s", buf.String())
-	}
-
-	if _, err := compareModel(base, writeFile(t, dir, "none.json",
-		`{"schema": "wbist-bench-model/v1", "circuits": [{"circuit": "zz", "models": []}]}`), 0.5); err == nil {
-		t.Error("no-overlap compare did not error")
-	}
-	if _, err := compareModel(writeFile(t, dir, "wrong.json",
-		`{"schema": "wbist-bench-slab/v1", "circuits": []}`), fresh, 0.5); err == nil {
-		t.Error("schema mismatch did not error")
-	}
+	runKernelCases(t, []kernelCase{
+		{name: "groups drift", mutate: func(r []kernelRow) []kernelRow { r[3].Groups++; return r },
+			wantFail: "s298/transition.groups"},
+		{name: "vectors drift", mutate: func(r []kernelRow) []kernelRow {
+			r[3].Vectors++
+			r[4].Vectors++
+			return r
+		}, wantFail: "s298/transition.vectors"},
+		{name: "event vectors mismatch", mutate: func(r []kernelRow) []kernelRow { r[4].Vectors--; return r },
+			wantFail: "s298/transition.event.vectors (vs dense)"},
+		{name: "mismatch on a circuit not in the baseline", mutate: func(r []kernelRow) []kernelRow {
+			return append(r,
+				kernelRow{Circuit: "zz9", Model: "bridge", Kernel: "dense", GateEvals: 10, Vectors: 4},
+				kernelRow{Circuit: "zz9", Model: "bridge", Kernel: "event", GateEvals: 10, Vectors: 3})
+		}, wantFail: "zz9/bridge.event.vectors (vs dense)"},
+	})
 }
