@@ -35,14 +35,15 @@
 // Common flags (before the subcommand): -lg, -seed, -random, -misr, -workers
 // (fault-simulation worker goroutines, default GOMAXPROCS; results are
 // bit-identical for any value), -kernel <auto|event|dense|slab>
-// (fault-simulation gate-evaluation kernel; "auto" honors FSIM_KERNEL and
-// defaults to the event-driven kernel, results are bit-identical for every
-// kernel), -fault-model <stuck-at|transition|bridge> (the fault universe the
-// pipeline targets; unlike the execution flags it changes every result bit
-// and is part of the run's identity), plus the observability flags -metrics
-// <file> (JSON-lines span export), -progress (per-phase progress on stderr)
-// and -pprof <addr> (pprof/expvar server, with Prometheus text exposition
-// under /metrics).
+// (fault-simulation gate-evaluation kernel; "auto" honors FSIM_KERNEL, else
+// picks per simulation run: slab for stuck-at fault lists with more groups
+// than workers (and at least two) and no output hook, event otherwise;
+// results are bit-identical for every kernel), -fault-model <stuck-at|transition|bridge> (the fault
+// universe the pipeline targets; unlike the execution flags it changes every
+// result bit and is part of the run's identity), plus the observability
+// flags -metrics <file> (JSON-lines span export), -progress (per-phase
+// progress on stderr) and -pprof <addr> (pprof/expvar server, with
+// Prometheus text exposition under /metrics).
 package main
 
 import (
@@ -70,7 +71,7 @@ var (
 	flagRandom   = flag.Int("random", 0, "pseudo-random LFSR windows before weight selection")
 	flagMISR     = flag.Int("misr", 16, "MISR width for the selftest subcommand")
 	flagWorkers  = flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker goroutines (results are identical for any value)")
-	flagKernel   = flag.String("kernel", "auto", "fault-simulation kernel: auto, event, dense or slab (results are identical for any value)")
+	flagKernel   = flag.String("kernel", "auto", "fault-simulation kernel: auto (slab for stuck-at runs with more fault groups than workers, event otherwise), event, dense or slab (results are identical for any value)")
 	flagModel    = flag.String("fault-model", "", "fault model: stuck-at (default), transition or bridge (part of the run's identity, unlike -workers/-kernel)")
 	flagMetrics  = flag.String("metrics", "", "write telemetry span events to this file as JSON lines")
 	flagProgress = flag.Bool("progress", false, "print per-phase progress to stderr")

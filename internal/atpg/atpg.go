@@ -75,8 +75,10 @@ type Options struct {
 	// sequential). The generated sequence is bit-identical for any value.
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel (dense, event-driven or
-	// slab; the zero value honors FSIM_KERNEL and defaults to event). The
-	// generated sequence is bit-identical for every kernel.
+	// slab; the zero value honors FSIM_KERNEL, else each fsim run picks slab
+	// or event from its fault list and worker count, see
+	// fsim.Options.Kernel). The generated sequence is bit-identical for
+	// every kernel.
 	Kernel fsim.Kernel
 	// Span, when non-nil, is the parent telemetry span under which the
 	// generator records its phases ("atpg" with one child per phase).
@@ -214,7 +216,11 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 				TimeOffset:    seq.Len(),
 				Workers:       opts.Workers,
 				Kernel:        opts.Kernel,
+				Ctx:           opts.Ctx,
 			})
+			if o.Cancelled {
+				break // a partial outcome must not decide acceptance
+			}
 			if o.NumDetected > 0 {
 				seq.Concat(cand)
 				remaining = undetectedSubset(remaining, o)
@@ -309,42 +315,177 @@ func weightedRandom(rng *randutil.RNG, n, l int) *sim.Sequence {
 // compact removes blocks of vectors whose omission does not lose coverage.
 // Blocks are tried back to front at each block size so that later deletions
 // do not invalidate earlier decisions within a pass.
+//
+// Stuck-at and bridge targets are checked against block-boundary
+// checkpoints (see checkpoints); transition targets, whose launch history a
+// continued run does not carry, are re-simulated over the whole candidate.
+// Both checks accept exactly the same candidates, so T does not depend on
+// which one ran. A cancelled context stops compaction with the sequence as
+// it stands; the caller discards the run.
 func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *sim.Sequence {
+	targets, ok := compactionTargets(s, seq, faults, opts)
+	if !ok {
+		return seq
+	}
+	return compactBlocks(s, seq, targets, opts, fsim.Continuable(targets))
+}
+
+// compactionTargets returns the faults seq detects: only they need to stay
+// detected, so simulating the undetected ones during compaction would be
+// wasted effort. ok is false when the run was cancelled.
+func compactionTargets(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) (targets []fault.Fault, ok bool) {
 	base := rerun(s, seq, faults, opts)
-	// Only the detected faults need to stay detected; simulating the
-	// undetected ones during compaction would be wasted effort.
-	var targets []fault.Fault
+	if base.Cancelled {
+		return nil, false
+	}
 	for i := range faults {
 		if base.Detected[i] {
 			targets = append(targets, faults[i])
 		}
 	}
-	covers := func(cand *sim.Sequence) bool {
-		o := rerun(s, cand, targets, opts)
-		return o.NumDetected == len(targets)
-	}
+	return targets, true
+}
+
+// compactBlocks is the block-deletion loop of compact. With checkpointed
+// set, each candidate re-simulates only the targets it can lose, from their
+// states at the deleted block; otherwise it re-simulates every target over
+// the whole candidate (the reference path).
+func compactBlocks(s *fsim.Simulator, seq *sim.Sequence, targets []fault.Fault, opts Options, checkpointed bool) *sim.Sequence {
 	for _, block := range opts.CompactionBlocks {
 		if block <= 0 || seq.Len()/block > 48 {
 			continue
 		}
-		for lo := (seq.Len() - 1) / block * block; lo >= 0; lo -= block {
-			hi := lo + block
-			if hi > seq.Len() {
-				hi = seq.Len()
+		var cp *checkpoints
+		if checkpointed {
+			if cp = newCheckpoints(s, seq, targets, block, opts); cp == nil {
+				return seq // cancelled: partial states are unusable
 			}
+		}
+		for lo := (seq.Len() - 1) / block * block; lo >= 0; lo -= block {
+			hi := min(lo+block, seq.Len())
 			if hi-lo == seq.Len() {
 				continue // never delete everything
 			}
-			cand := sim.NewSequence(seq.NumInputs)
-			for u := 0; u < seq.Len(); u++ {
-				if u < lo || u >= hi {
-					cand.Append(seq.Vecs[u])
-				}
+			var o *fsim.Outcome
+			var want int
+			if cp != nil {
+				o, want = cp.suffixRun(seq, lo, hi)
+			} else {
+				o, want = rerun(s, spliced(seq, lo, hi), targets, opts), len(targets)
 			}
-			if cand.Len() > 0 && covers(cand) {
-				seq = cand
+			if o.Cancelled {
+				return seq
+			}
+			if o.NumDetected == want {
+				seq = spliced(seq, lo, hi)
 			}
 		}
 	}
 	return seq
+}
+
+// checkpoints is one chunked pass of the compaction targets over a
+// sequence at one block size: the group states at every candidate block
+// boundary and each target's first detection time. A candidate deleting
+// [lo,hi) keeps the prefix seq[:lo], so a target first detected before lo
+// stays detected, and every other target's machine is exactly its state at
+// lo; the check therefore resumes only those targets from lo over seq[hi:].
+//
+// Candidates are tried back to front, so after an accepted deletion at lo
+// every lower boundary's states are unchanged, and so is the set of targets
+// first detected at or after any lower boundary: the checkpoints stay valid
+// for the rest of the block size.
+type checkpoints struct {
+	s       *fsim.Simulator
+	targets []fault.Fault
+	opts    Options
+	block   int
+	// states[b] holds the targets' group states after seq[:b*block];
+	// states[0] is nil (the run starts from Options.Init).
+	states [][][]logic.W
+	// detAt[i] is targets[i]'s first detection time, or the sequence length
+	// when it falls after the last candidate boundary (no candidate can
+	// tell those apart).
+	detAt []int
+}
+
+// newCheckpoints runs the chunked pass, one chunk per block up to the last
+// candidate boundary. It returns nil when the run was cancelled.
+func newCheckpoints(s *fsim.Simulator, seq *sim.Sequence, targets []fault.Fault, block int, opts Options) *checkpoints {
+	last := (seq.Len() - 1) / block
+	cp := &checkpoints{
+		s: s, targets: targets, opts: opts, block: block,
+		states: make([][][]logic.W, last+1),
+		detAt:  make([]int, len(targets)),
+	}
+	for i := range cp.detAt {
+		cp.detAt[i] = seq.Len()
+	}
+	for b := 0; b < last; b++ {
+		lo := b * block
+		o := s.Run(view(seq, lo, lo+block), targets, fsim.Options{
+			Init:          opts.Init,
+			InitialStates: cp.states[b],
+			SaveStates:    true,
+			TimeOffset:    lo,
+			Workers:       opts.Workers,
+			Kernel:        opts.Kernel,
+			Ctx:           opts.Ctx,
+		})
+		if o.Cancelled {
+			return nil
+		}
+		for i, t := range o.DetTime {
+			if t >= 0 && t < cp.detAt[i] {
+				cp.detAt[i] = t
+			}
+		}
+		cp.states[b+1] = o.FinalStates
+	}
+	return cp
+}
+
+// suffixRun checks the candidate that deletes seq[lo:hi): it resumes the
+// targets first detected at or after lo from their states at lo, repacked
+// into fresh groups, over seq[hi:]. It returns the run and the number of
+// detections the candidate needs; when no target needs re-simulating, the
+// run is an empty outcome that needs none.
+func (cp *checkpoints) suffixRun(seq *sim.Sequence, lo, hi int) (*fsim.Outcome, int) {
+	var idx []int
+	var sub []fault.Fault
+	for i, t := range cp.detAt {
+		if t >= lo {
+			idx = append(idx, i)
+			sub = append(sub, cp.targets[i])
+		}
+	}
+	if len(sub) == 0 {
+		return &fsim.Outcome{}, 0
+	}
+	var init [][]logic.W
+	if st := cp.states[lo/cp.block]; st != nil {
+		init = repackStates(st, idx)
+	}
+	o := cp.s.Run(view(seq, hi, seq.Len()), sub, fsim.Options{
+		Init:          cp.opts.Init,
+		InitialStates: init,
+		TimeOffset:    lo,
+		Workers:       cp.opts.Workers,
+		Kernel:        cp.opts.Kernel,
+		Ctx:           cp.opts.Ctx,
+	})
+	return o, len(sub)
+}
+
+// view returns seq[lo:hi) sharing seq's vectors; callers only read it.
+func view(seq *sim.Sequence, lo, hi int) *sim.Sequence {
+	return &sim.Sequence{NumInputs: seq.NumInputs, Vecs: seq.Vecs[lo:hi:hi]}
+}
+
+// spliced returns seq without [lo,hi), sharing seq's vectors (no stage
+// writes a vector in place).
+func spliced(seq *sim.Sequence, lo, hi int) *sim.Sequence {
+	vecs := make([][]logic.V, 0, seq.Len()-(hi-lo))
+	vecs = append(append(vecs, seq.Vecs[:lo]...), seq.Vecs[hi:]...)
+	return &sim.Sequence{NumInputs: seq.NumInputs, Vecs: vecs}
 }

@@ -78,3 +78,30 @@ func extractState(finalStates [][]logic.W, i, numDFFs int) []logic.V {
 	}
 	return out
 }
+
+// repackStates gathers the flip-flop states of the faults at positions idx
+// of the fault list that produced states (grouped as fsim groups them) into
+// fresh groups in idx order: slot j+1 of group g carries the machine of
+// idx[g*GroupSize+j], and every other slot carries the fault-free machine of
+// slot 0, as in a run started from a broadcast Init.
+func repackStates(states [][]logic.W, idx []int) [][]logic.W {
+	good := states[0]
+	out := make([][]logic.W, (len(idx)+fsim.GroupSize-1)/fsim.GroupSize)
+	for g := range out {
+		w := make([]logic.W, len(good))
+		for k := range w {
+			w[k] = logic.Broadcast(good[k].Get(0))
+		}
+		out[g] = w
+	}
+	for j, i := range idx {
+		src := states[i/fsim.GroupSize]
+		from := uint(i%fsim.GroupSize) + 1
+		to := uint(j%fsim.GroupSize) + 1
+		dst := out[j/fsim.GroupSize]
+		for k := range dst {
+			dst[k] = dst[k].Set(to, src[k].Get(from))
+		}
+	}
+	return out
+}

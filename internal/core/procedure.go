@@ -56,8 +56,10 @@ type Options struct {
 	// wall-clock time.
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel (dense, event-driven or
-	// slab; the zero value honors FSIM_KERNEL and defaults to event). Like
-	// Workers, it leaves every result bit unchanged.
+	// slab; the zero value honors FSIM_KERNEL, else each fsim run picks slab
+	// or event from its fault list and worker count, see
+	// fsim.Options.Kernel). Like Workers, it leaves every result bit
+	// unchanged.
 	Kernel fsim.Kernel
 	// Ctx, if non-nil, cancels the procedure: it is checked once per
 	// candidate simulation (and threaded into fsim, which stops claiming

@@ -199,28 +199,12 @@ func CheckTriple(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cf
 			return fmt.Errorf("ref vs fsim(event Workers=%d): %w", cfg.Workers, err)
 		}
 	}
-	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && Continuable(faults) {
+	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && fsim.Continuable(faults) {
 		if err := checkContinuation(c, seq, faults, cfg, refOut); err != nil {
 			return fmt.Errorf("split continuation: %w", err)
 		}
 	}
 	return nil
-}
-
-// Continuable reports whether the split-continuation axis applies to a fault
-// list. A transition fault's launch history (the site's previous-cycle
-// nominal value) is per-run machine state that InitialStates does not carry,
-// so a split run legitimately differs from a monolithic run around the split
-// point — by the documented fsim contract, not by a bug (see DESIGN.md,
-// "FaultModel contract"). Stuck-at and bridge machines are fully described
-// by their flip-flop states, so their continuations are exact.
-func Continuable(faults []fault.Fault) bool {
-	for _, f := range faults {
-		if f.Kind == fault.KindTransition {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckKernels is the dense-vs-event differential check for one triple: the
@@ -259,7 +243,7 @@ func CheckKernels(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, c
 			return fmt.Errorf("reused simulator, event round %d: %w", round, err)
 		}
 	}
-	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && Continuable(faults) {
+	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && fsim.Continuable(faults) {
 		split := seq.Len() / 2
 		pre := fsim.Run(c, seq.Slice(0, split), faults, fsim.Options{
 			Init: cfg.Init, SaveStates: true, Kernel: fsim.KernelEvent,
@@ -329,7 +313,7 @@ func CheckSlab(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, cfg 
 	if err := sameFsimOutcome(want, s.Run(seq, faults, opts(fsim.KernelSlab, 1, 4))); err != nil {
 		return fmt.Errorf("reused simulator, slab after event: %w", err)
 	}
-	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && Continuable(faults) {
+	if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && len(faults) > 0 && fsim.Continuable(faults) {
 		split := seq.Len() / 2
 		pre := fsim.Run(c, seq.Slice(0, split), faults, fsim.Options{
 			Init: cfg.Init, SaveStates: true, Kernel: fsim.KernelSlab, SlabLanes: 2,

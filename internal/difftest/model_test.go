@@ -52,7 +52,7 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		if cfg.StopTime > 0 {
 			stopped++
 		}
-		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && Continuable(faults) {
+		if cfg.SplitContinuation && cfg.StopTime == 0 && seq.Len() >= 2 && fsim.Continuable(faults) {
 			split++
 		}
 		if err := CheckTriple(c, seq, faults, cfg); err != nil {
@@ -72,7 +72,7 @@ func testModelRandom(t *testing.T, m fault.Model, seedBase uint64, triples int) 
 		}
 	}
 	// The split-continuation axis is undefined for transition faults
-	// (Continuable): only demand it where it can run at all.
+	// (fsim.Continuable): only demand it where it can run at all.
 	_, isTransition := m.(fault.Transition)
 	if multiGroup == 0 || saved == 0 || stopped == 0 || (split == 0 && !isTransition) ||
 		slab == 0 || kernels == 0 {

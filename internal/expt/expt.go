@@ -69,7 +69,8 @@ type Config struct {
 	Workers int
 	// Kernel selects the fsim gate-evaluation kernel threaded through every
 	// pipeline stage (dense, event-driven or slab; the zero value honors
-	// FSIM_KERNEL and defaults to event). All kernels are bit-identical, so
+	// FSIM_KERNEL, else each fsim run picks slab or event from its fault
+	// list and worker count, see fsim.Options.Kernel). All kernels are bit-identical, so
 	// Kernel — like Workers — is not part of the memoization key.
 	Kernel fsim.Kernel
 	// Ctx, if non-nil, cancels the run: it is threaded through every
@@ -123,9 +124,13 @@ func presetFor(name string, cfg Config) Config {
 		if cfg.ATPGRandomLen == 0 {
 			cfg.ATPGRandomLen = 1024
 		}
-		// Restoration-based compaction re-simulates the whole fault list per
-		// candidate deletion, which dominates runtime at this size without
-		// changing any conclusion.
+		// Restoration-based compaction resumes each candidate deletion from
+		// block-boundary checkpoints, but its cost still scales with
+		// detected faults × sequence length: one SaveStates chunk pass over
+		// every detected fault per block size, plus a suffix run of the
+		// faults each candidate can lose. At this size (11012 collapsed
+		// faults, 179 flip-flops) the preset keeps it off; the compacted
+		// length changes no conclusion.
 		cfg.ATPGNoCompaction = true
 	case "s35932":
 		if cfg.ATPGRandomLen == 0 {

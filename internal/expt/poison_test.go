@@ -174,6 +174,96 @@ func TestRunPipelineCancelledInReverseOrder(t *testing.T) {
 	}
 }
 
+// pollCancelCtx cancels itself on the n-th Done poll after arm: a
+// deterministic way (with Workers=1) to land a cancellation at a chosen
+// point inside a phase rather than at a span boundary.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	armed  atomic.Bool
+	polls  atomic.Int64
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} {
+	if c.armed.Load() && c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// armOnSpan arms a pollCancelCtx when the named span ends, keeps every
+// span event it sees and the poll count at the end of each.
+type armOnSpan struct {
+	span   string
+	ctx    *pollCancelCtx
+	events map[string]telemetry.SpanEvent
+	polls  map[string]int64
+}
+
+func (s armOnSpan) Record(ev telemetry.SpanEvent) {
+	s.events[ev.Span] = ev
+	s.polls[ev.Span] = s.ctx.polls.Load()
+	if ev.Span == s.span {
+		s.ctx.armed.Store(true)
+	}
+}
+
+// TestRunPipelineCancelledInCompaction: a cancellation that lands inside
+// restoration compaction — in the target rerun, the checkpoint chunk pass
+// or a candidate's suffix run, depending on how many context polls it
+// waits — must stop compaction and surface as context.Canceled. Every fsim
+// run polls the context on entry, so a prompt stop shows as no further
+// compaction poll after the cancel; a compaction that kept going would poll
+// at least once per further candidate.
+func TestRunPipelineCancelledInCompaction(t *testing.T) {
+	c, err := iscas.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int64) (*pollCancelCtx, armOnSpan, error) {
+		parent, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctx := &pollCancelCtx{Context: parent, cancel: cancel, n: n}
+		sink := armOnSpan{span: "pipeline/atpg/podem", ctx: ctx,
+			events: map[string]telemetry.SpanEvent{}, polls: map[string]int64{}}
+		cfg := CanonicalConfig("s298", Config{LG: 100, Seed: 1})
+		cfg.Ctx = ctx
+		cfg.Telemetry = telemetry.New(sink)
+		_, err := RunPipeline(c, InitFor("s298"), cfg)
+		return ctx, sink, err
+	}
+	_, full, err := run(-1) // never cancels
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := full.polls["pipeline/atpg/compaction"]
+	if full.events["pipeline/atpg/compaction"].Counters["fsim.vectors"] == 0 || total < 20 {
+		t.Fatalf("uncancelled compaction simulated %d vectors over %d polls",
+			full.events["pipeline/atpg/compaction"].Counters["fsim.vectors"], total)
+	}
+	// The first poll after the podem phase is Generate's own check before
+	// compaction; the compaction phase makes most of the others.
+	for _, n := range []int64{2, 3, 5, 20, total / 4, total / 2, total * 3 / 4, total - 1} {
+		ctx, sink, err := run(n)
+		events := sink.events
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll %d of %d: err = %v, want context.Canceled", n, total, err)
+		}
+		if _, ok := events["pipeline/atpg/compaction"]; !ok {
+			t.Fatalf("poll %d of %d: no pipeline/atpg/compaction span recorded", n, total)
+		}
+		// The one poll after the cancel is the entry check of Generate's
+		// closing rerun.
+		if extra := ctx.polls.Load() - n; extra > 1 {
+			t.Errorf("poll %d of %d: %d more polls after the cancel, want a prompt stop", n, total, extra)
+		}
+		if _, ok := events["pipeline/core"]; ok {
+			t.Errorf("poll %d of %d: selection ran after a cancelled compaction", n, total)
+		}
+	}
+}
+
 // TestCtxNotPartOfMemoKey: runs differing only in their context share one
 // memoized computation, like Workers and Telemetry.
 func TestCtxNotPartOfMemoKey(t *testing.T) {

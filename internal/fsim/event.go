@@ -16,10 +16,14 @@ type Kernel uint8
 
 const (
 	// KernelAuto resolves to the kernel named by the FSIM_KERNEL environment
-	// variable ("event", "dense" or "slab"), or to KernelEvent when it is
-	// unset or unparsable. It is the zero value, so callers that leave Options.Kernel
-	// alone get the event kernel (and CI can steer the whole test suite
-	// through either kernel without touching any call site).
+	// variable ("event", "dense" or "slab"). When that is unset or
+	// unparsable, Simulator.Run picks the kernel per run from the run's own
+	// inputs and worker count: slab for a stuck-at-only fault list whose
+	// slab lane width is at least 2, event for everything else (see
+	// runKernel). It is the zero
+	// value, so callers that leave Options.Kernel alone get that per-run
+	// choice (and CI can steer the whole test suite through any one kernel
+	// without touching a call site).
 	KernelAuto Kernel = iota
 	// KernelEvent is the event-driven kernel: per time unit only the gates
 	// reachable from changed lines are re-evaluated (see runGroupEvent).
@@ -69,16 +73,19 @@ func ParseKernel(s string) (Kernel, error) {
 	}
 }
 
-// Resolve maps KernelAuto to a concrete kernel via the FSIM_KERNEL
-// environment variable, defaulting to the event kernel.
+// Resolve applies the FSIM_KERNEL environment variable to KernelAuto. An
+// explicit kernel is returned unchanged; KernelAuto becomes the kernel the
+// variable names, or stays KernelAuto when it is unset or unparsable (the
+// concrete kernel is then chosen per run by Simulator.Run, and recorded by
+// Trace.Begin).
 func (k Kernel) Resolve() Kernel {
 	if k != KernelAuto {
 		return k
 	}
-	if env, err := ParseKernel(os.Getenv("FSIM_KERNEL")); err == nil && env != KernelAuto {
+	if env, err := ParseKernel(os.Getenv("FSIM_KERNEL")); err == nil {
 		return env
 	}
-	return KernelEvent
+	return KernelAuto
 }
 
 // eventState is the per-scratch-simulator mutable state of the event kernel.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/iscas"
 	"repro/internal/logic"
+	"repro/internal/obsv"
 	"repro/internal/randutil"
 	"repro/internal/rcg"
 	"repro/internal/sim"
@@ -44,8 +45,8 @@ func TestKernelParseAndString(t *testing.T) {
 
 func TestKernelResolve(t *testing.T) {
 	t.Setenv("FSIM_KERNEL", "")
-	if got := KernelAuto.Resolve(); got != KernelEvent {
-		t.Errorf("Resolve with unset env = %v, want event", got)
+	if got := KernelAuto.Resolve(); got != KernelAuto {
+		t.Errorf("Resolve with unset env = %v, want auto (chosen per run)", got)
 	}
 	t.Setenv("FSIM_KERNEL", "dense")
 	if got := KernelAuto.Resolve(); got != KernelDense {
@@ -55,8 +56,60 @@ func TestKernelResolve(t *testing.T) {
 		t.Errorf("explicit kernel must beat the environment: got %v", got)
 	}
 	t.Setenv("FSIM_KERNEL", "nonsense")
-	if got := KernelAuto.Resolve(); got != KernelEvent {
-		t.Errorf("Resolve with unparsable env = %v, want event default", got)
+	if got := KernelAuto.Resolve(); got != KernelAuto {
+		t.Errorf("Resolve with unparsable env = %v, want auto", got)
+	}
+}
+
+// TestAutoKernelPolicy pins the per-run kernel choice of KernelAuto through
+// the trace's kernel annotation: slab for stuck-at runs whose slab lane
+// width is at least 2, event for everything else — one group, no more
+// groups than workers, transition or bridge faults, a hook, a netlist whose
+// L2 budget leaves one lane (s35932) — and whatever FSIM_KERNEL names for
+// all of them.
+func TestAutoKernelPolicy(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	big := iscas.MustLoad("s35932")
+	stuck := fault.CollapsedUniverse(c)
+	groups := (len(stuck) + GroupSize - 1) / GroupSize
+	if groups < 4 {
+		t.Fatalf("s298 has %d stuck-at fault groups, want at least 4", groups)
+	}
+	hook := func(lo, hi, u int, po []logic.W) {}
+	cases := []struct {
+		name    string
+		c       *circuit.Circuit
+		faults  []fault.Fault
+		hook    func(lo, hi, u int, po []logic.W)
+		workers int
+		want    string
+	}{
+		{"stuck-at, several groups", c, stuck, nil, 1, "slab"},
+		{"stuck-at, more groups than workers", c, stuck, nil, groups - 1, "slab"},
+		{"stuck-at, as many workers as groups", c, stuck, nil, groups, "event"},
+		{"stuck-at, one group", c, stuck[:GroupSize], nil, 1, "event"},
+		{"stuck-at, one lane in the L2 budget", big, fault.CollapsedUniverse(big)[:2*GroupSize], nil, 1, "event"},
+		{"transition", c, fault.CollapsedUniverseFor(c, fault.Transition{}), nil, 1, "event"},
+		{"bridge", c, fault.CollapsedUniverseFor(c, fault.Bridging{}), nil, 1, "event"},
+		{"output hook", c, stuck, hook, 1, "event"},
+	}
+	kernelOf := func(c *circuit.Circuit, faults []fault.Fault, hook func(lo, hi, u int, po []logic.W), workers int) string {
+		seq := sim.RandomSequence(randutil.New(3), c.NumInputs(), 8)
+		tr := obsv.NewTrace()
+		New(c).Run(seq, faults, Options{Init: logic.Zero, OutputHook: hook, Workers: workers, Trace: tr})
+		return tr.Kernel()
+	}
+	t.Setenv("FSIM_KERNEL", "")
+	for _, tc := range cases {
+		if got := kernelOf(tc.c, tc.faults, tc.hook, tc.workers); got != tc.want {
+			t.Errorf("auto, %s: kernel %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	t.Setenv("FSIM_KERNEL", "dense")
+	for _, tc := range cases {
+		if got := kernelOf(tc.c, tc.faults, tc.hook, tc.workers); got != "dense" {
+			t.Errorf("FSIM_KERNEL=dense, %s: kernel %s, want dense", tc.name, got)
+		}
 	}
 }
 

@@ -77,6 +77,7 @@ type Options struct {
 	// state that InitialStates does not carry: the continued run restarts
 	// it at X, so a launch transition straddling the split point is lost
 	// and the outcome may differ from the unsplit run around the boundary.
+	// Continuable reports which case a fault list is in.
 	InitialStates [][]logic.W
 	// SaveStates records each group's final flip-flop state in
 	// Outcome.FinalStates (disabling the all-detected early exit so the
@@ -98,10 +99,13 @@ type Options struct {
 	// fan-out, to preserve the Section 4.2 effort reduction.
 	Workers int
 	// Kernel selects the gate-evaluation strategy. The zero value
-	// (KernelAuto) honors the FSIM_KERNEL environment variable and defaults
-	// to the event-driven kernel; all kernels produce bit-identical
-	// outcomes (the differential suite in internal/difftest enforces this),
-	// so the choice only affects speed and telemetry.
+	// (KernelAuto) honors the FSIM_KERNEL environment variable; without it,
+	// each run picks slab for a stuck-at-only fault list whose slab lane
+	// width is at least 2 (two or more groups, more groups than Workers, no
+	// OutputHook, a netlist within the L2 budget) and the event kernel
+	// otherwise (see runKernel). All kernels produce bit-identical outcomes
+	// (the differential suite in internal/difftest enforces this), so the
+	// choice only affects speed and telemetry.
 	Kernel Kernel
 	// SlabLanes is the number of fault groups the slab kernel batches into
 	// one multi-group pass (W in the slab layout: W×64 machines per gate
@@ -348,14 +352,12 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 // worker pool; each group writes a disjoint slice region of the outcome, so
 // the result is bit-identical to the sequential run regardless of scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
-	opts.Kernel = opts.Kernel.Resolve() // resolve env/default exactly once
-	if opts.Kernel == KernelSlab && hasModelFaults(faults) {
-		// The slab arena's injection layout is stuck-at only; a run carrying
-		// transition or bridge faults resolves to the dense kernel (same
-		// outcome by the kernel contract, different speed).
-		opts.Kernel = KernelDense
-	}
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
+	workers := opts.Workers
+	if workers < 1 || opts.OutputHook != nil {
+		workers = 1 // the hook's ordering contract requires sequential runs
+	}
+	opts.Kernel = s.runKernel(faults, numGroups, workers, opts) // resolve env/default exactly once
 	opts.Trace.Begin(numGroups, opts.Kernel.String())
 	if opts.InitialStates != nil {
 		// A silently mis-shaped continuation state would corrupt the run
@@ -395,11 +397,6 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		return out
 	}
 
-	workers := opts.Workers
-	if workers < 1 || opts.OutputHook != nil {
-		workers = 1 // the hook's ordering contract requires sequential runs
-	}
-
 	first := 0
 	if ctxDone(opts.Ctx) {
 		out.Cancelled = true
@@ -409,7 +406,7 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 	if opts.Kernel == KernelSlab {
 		// The slab kernel shards batches-of-W instead of single groups; its
 		// dispatch (including the abort-first-group path) lives in runSlab.
-		s.runSlab(seq, faults, numGroups, stop, opts, out)
+		s.runSlab(seq, faults, numGroups, workers, stop, opts, out)
 		return out
 	}
 	if opts.AbortAfterFirstGroupIfNone {
@@ -488,6 +485,31 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		}
 	}
 	return out
+}
+
+// runKernel is the concrete kernel of one run. An explicit Options.Kernel or
+// FSIM_KERNEL wins; otherwise the choice depends only on the run's inputs
+// and its worker count: slab when every fault is stuck-at and the run's
+// slab lane width (slabLanes) is at least 2, and event for everything else.
+// The width is 1 for single-group runs, hooked runs such as the MISR
+// self-test, netlists too large for the L2 budget (s35932, where
+// BENCH_kernel.json has event 12% ahead of W=1 slab), and runs with no more
+// groups than workers; there slab has nothing to batch. Transition and
+// bridge faults also stay on event, since the slab arena's injection layout
+// is stuck-at only; an explicit slab run carrying them resolves to dense
+// (same outcome by the kernel contract, different speed).
+func (s *Simulator) runKernel(faults []fault.Fault, numGroups, workers int, opts Options) Kernel {
+	k := opts.Kernel.Resolve()
+	switch {
+	case k == KernelAuto:
+		if !hasModelFaults(faults) && s.slabLanes(opts, numGroups, workers) > 1 {
+			return KernelSlab
+		}
+		return KernelEvent
+	case k == KernelSlab && hasModelFaults(faults):
+		return KernelDense
+	}
+	return k
 }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.

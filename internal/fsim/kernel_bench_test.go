@@ -71,9 +71,8 @@ func BenchmarkKernelDense(b *testing.B) { runKernelBenchmark(b, fsim.KernelDense
 func BenchmarkKernelEvent(b *testing.B) { runKernelBenchmark(b, fsim.KernelEvent) }
 func BenchmarkKernelSlab(b *testing.B)  { runKernelBenchmark(b, fsim.KernelSlab) }
 
-// BenchmarkKernelSlabColdArena is the arena's control experiment: it forces
-// the slab arena to be rebuilt on every run by alternating the lane width
-// (slabFor reallocates whenever the stride changes), so allocs/op here is
+// BenchmarkKernelSlabColdArena is the arena's control experiment: every run
+// takes a fresh simulator (built outside the timer), so allocs/op here is
 // what every batch would pay without arena reuse. Compare with
 // BenchmarkKernelSlab, whose warm arena allocates nothing per run beyond the
 // outcome itself.
@@ -96,13 +95,13 @@ func BenchmarkKernelSlabColdArena(b *testing.B) {
 			if len(faults) > 2*fsim.GroupSize {
 				faults = faults[:2*fsim.GroupSize]
 			}
-			s := fsim.New(c)
 			opts := fsim.Options{Init: logic.Zero, Workers: 1, Kernel: fsim.KernelSlab}
-			s.Run(seq, faults, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opts.SlabLanes = 1 + i%2 // stride change → full arena rebuild
+				b.StopTimer()
+				s := fsim.New(c) // cold arena: allocated on this run
+				b.StartTimer()
 				s.Run(seq, faults, opts)
 			}
 		})

@@ -257,6 +257,20 @@ func groupHasBridge(faults []fault.Fault) bool {
 	return false
 }
 
+// Continuable reports whether a run over faults may resume from saved
+// states (Options.InitialStates) with the same outcome as the unsplit run:
+// true unless the list carries a transition fault, whose launch history
+// InitialStates does not carry. Stuck-at and bridge machines are fully
+// described by their flip-flop states.
+func Continuable(faults []fault.Fault) bool {
+	for _, f := range faults {
+		if f.Kind == fault.KindTransition {
+			return false
+		}
+	}
+	return true
+}
+
 // hasModelFaults reports whether the list carries any non-stuck-at fault.
 func hasModelFaults(faults []fault.Fault) bool {
 	for _, f := range faults {

@@ -56,9 +56,11 @@ func (s *Simulator) slabLanesAuto() int {
 }
 
 // SlabWidth reports the lane width W the slab kernel will use under opts —
-// the adaptive choice when opts.SlabLanes <= 0 — before the per-run clamp to
-// the number of fault groups. Benchmark harnesses use it to label slab runs;
-// it has no effect on simulation.
+// the adaptive choice when opts.SlabLanes <= 0 — before the per-run clamps
+// to the group and worker counts (slabLanes). It is 1 under OutputHook,
+// whose ordering contract (group 0's whole sequence first, then group 1's,
+// ...) is incompatible with interleaving groups in one pass. Benchmark
+// harnesses use it to label slab runs; it has no effect on simulation.
 func (s *Simulator) SlabWidth(opts Options) int {
 	w := opts.SlabLanes
 	if w <= 0 {
@@ -71,6 +73,22 @@ func (s *Simulator) SlabWidth(opts Options) int {
 		w = 1
 	}
 	return w
+}
+
+// slabLanes is the lane width W of one slab run over numGroups fault groups
+// on workers goroutines (workers already 1 under OutputHook): SlabWidth,
+// clamped to the group count and, when W is adaptive, to
+// ceil(numGroups/workers). The second clamp keeps batching from starving the
+// worker pool: a run has at most workers batches of at most
+// ceil(numGroups/workers) groups each, so its busiest goroutine carries no
+// more groups than under the per-group fan-out of the other kernels. An
+// explicit Options.SlabLanes is only clamped to the group count.
+func (s *Simulator) slabLanes(opts Options, numGroups, workers int) int {
+	w := s.SlabWidth(opts)
+	if opts.SlabLanes <= 0 && workers > 1 {
+		w = min(w, (numGroups+workers-1)/workers)
+	}
+	return min(w, numGroups)
 }
 
 // slabPinForce is one pin-fault force of a slab batch: lane selects the
@@ -122,10 +140,12 @@ type slabState struct {
 	tgs        []*obsv.GroupTrace
 }
 
-// slabFor returns the simulator's slab arena sized for stride lanes,
-// allocating or re-allocating only when the stride changes (a stride change
-// resets the injection tables along with the slabs, so the targeted-clearing
-// bookkeeping stays consistent).
+// slabFor returns the simulator's slab arena sized for stride lanes. A
+// stride change (runs over shrinking fault lists clamp the stride to their
+// group count) zeroes and reslices the existing buffers, allocating only
+// when a slab outgrows its capacity; it also resets the injection tables
+// along with the slabs, so the targeted-clearing bookkeeping stays
+// consistent.
 func (s *Simulator) slabFor(lanes int) *slabState {
 	sl := s.slab
 	if sl == nil {
@@ -135,12 +155,12 @@ func (s *Simulator) slabFor(lanes int) *slabState {
 	if sl.lanes != lanes {
 		n := len(s.c.Nodes)
 		sl.lanes = lanes
-		sl.vals = make([]logic.W, n*lanes)
-		sl.state = make([]logic.W, len(s.c.DFFs)*lanes)
-		sl.stemMask0 = make([]uint64, n*lanes)
-		sl.stemMask1 = make([]uint64, n*lanes)
-		sl.stemLanes = make([]uint32, n)
-		sl.pinIdx = make([]int32, n)
+		sl.vals = zeroed(sl.vals, n*lanes)
+		sl.state = zeroed(sl.state, len(s.c.DFFs)*lanes)
+		sl.stemMask0 = zeroed(sl.stemMask0, n*lanes)
+		sl.stemMask1 = zeroed(sl.stemMask1, n*lanes)
+		sl.stemLanes = zeroed(sl.stemLanes, n)
+		sl.pinIdx = zeroed(sl.pinIdx, n)
 		for i := range sl.pinIdx {
 			sl.pinIdx[i] = -1
 		}
@@ -148,14 +168,24 @@ func (s *Simulator) slabFor(lanes int) *slabState {
 		sl.pinNodes = sl.pinNodes[:0]
 		sl.pinForces = sl.pinForces[:0]
 		sl.pinLanes = sl.pinLanes[:0]
-		sl.laneLo = make([]int, lanes)
-		sl.laneHi = make([]int, lanes)
-		sl.activeMask = make([]uint64, lanes)
-		sl.laneUnits = make([]int, lanes)
-		sl.laneDone = make([]bool, lanes)
-		sl.tgs = make([]*obsv.GroupTrace, lanes)
+		sl.laneLo = zeroed(sl.laneLo, lanes)
+		sl.laneHi = zeroed(sl.laneHi, lanes)
+		sl.activeMask = zeroed(sl.activeMask, lanes)
+		sl.laneUnits = zeroed(sl.laneUnits, lanes)
+		sl.laneDone = zeroed(sl.laneDone, lanes)
+		sl.tgs = zeroed(sl.tgs, lanes)
 	}
 	return sl
+}
+
+// zeroed returns buf resliced to n zero elements, reusing its capacity.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // inject applies the stem-fault masks of slab index i (= node*lanes+lane).
@@ -245,15 +275,8 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 // batches-of-W (instead of single groups) over the worker pool. Group
 // independence makes the merge bit-identical to sequential for any worker
 // count and any W, exactly as for the other kernels.
-func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, stop int, opts Options, out *Outcome) {
-	// SlabWidth resolves opts.SlabLanes (adaptive when <= 0, clamped to
-	// maxSlabLanes) and drops to W=1 under OutputHook, whose ordering
-	// contract (group 0's whole sequence first, then group 1's, ...) is
-	// incompatible with interleaving groups in one pass.
-	w := s.SlabWidth(opts)
-	if w > numGroups {
-		w = numGroups
-	}
+func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, workers, stop int, opts Options, out *Outcome) {
+	w := s.slabLanes(opts, numGroups, workers)
 
 	first := 0
 	if opts.AbortAfterFirstGroupIfNone {
@@ -273,11 +296,6 @@ func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, 
 		return
 	}
 	numBatches := (rem + w - 1) / w
-
-	workers := opts.Workers
-	if workers < 1 || opts.OutputHook != nil {
-		workers = 1
-	}
 	if workers > numBatches {
 		workers = numBatches
 	}

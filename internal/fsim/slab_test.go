@@ -182,3 +182,65 @@ func TestSlabWidthClamps(t *testing.T) {
 		t.Fatalf("s35932 auto lanes = %d, want ~1 (L2 budget exhausted)", w)
 	}
 }
+
+// TestSlabLanesKeepWorkersBusy pins the per-run lane width: the adaptive
+// width is clamped to the group count and to ceil(groups/workers), so a run
+// never has fewer batches to share out than it could keep busy and its
+// busiest goroutine carries no more groups than under the per-group
+// fan-out; an explicit SlabLanes is clamped to the group count only.
+func TestSlabLanesKeepWorkersBusy(t *testing.T) {
+	s := New(iscas.MustLoad("s27")) // adaptive width: maxSlabLanes
+	cases := []struct{ groups, workers, lanes, want int }{
+		{20, 1, 0, maxSlabLanes},
+		{3, 1, 0, 3},
+		{20, 2, 0, 10},
+		{20, 4, 0, 5},
+		{20, 16, 0, 2},
+		{20, 20, 0, 1},
+		{20, 64, 0, 1},
+		{20, 4, 8, 8},
+		{3, 4, 8, 3},
+	}
+	for _, tc := range cases {
+		w := s.slabLanes(Options{SlabLanes: tc.lanes}, tc.groups, tc.workers)
+		if w != tc.want {
+			t.Errorf("%d groups, %d workers, SlabLanes %d: width %d, want %d", tc.groups, tc.workers, tc.lanes, w, tc.want)
+		}
+		if busiest := (tc.groups + tc.workers - 1) / tc.workers; tc.lanes == 0 && w > busiest {
+			t.Errorf("%d groups, %d workers: width %d puts more than %d groups on one goroutine", tc.groups, tc.workers, w, busiest)
+		}
+	}
+	hook := func(lo, hi, u int, po []logic.W) {}
+	if w := s.slabLanes(Options{OutputHook: hook}, 20, 1); w != 1 {
+		t.Errorf("OutputHook: width %d, want 1", w)
+	}
+}
+
+// TestSlabArenaReusedAcrossStrides: runs over shrinking fault lists clamp
+// the lane stride to their group count; each stride change must re-zero and
+// reslice the existing arena rather than reallocate it, and the resliced
+// arena must still reproduce the dense outcome.
+func TestSlabArenaReusedAcrossStrides(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	faults := fault.CollapsedUniverse(c)
+	seq := sim.RandomSequence(randutil.New(5), c.NumInputs(), 40)
+	s := New(c)
+	opts := Options{Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 8}
+	s.Run(seq, faults, opts)
+	if s.slab.lanes != 8 {
+		t.Fatalf("stride %d, want 8 (s298 has %d faults)", s.slab.lanes, len(faults))
+	}
+	arena := &s.slab.vals[0]
+	for _, n := range []int{4 * GroupSize, 2*GroupSize + 5, GroupSize + 1, len(faults)} {
+		want := New(c).Run(seq, faults[:n], Options{Init: logic.Zero, Kernel: KernelDense})
+		got := s.Run(seq, faults[:n], opts)
+		for fi := range want.Detected {
+			if got.Detected[fi] != want.Detected[fi] || got.DetTime[fi] != want.DetTime[fi] {
+				t.Fatalf("%d faults (stride %d): fault %d diverges from dense", n, s.slab.lanes, fi)
+			}
+		}
+		if &s.slab.vals[0] != arena {
+			t.Errorf("%d faults (stride %d): slab arena reallocated", n, s.slab.lanes)
+		}
+	}
+}

@@ -91,7 +91,10 @@ type HardwareStats = core.HardwareStats
 // Kernel selects the fault simulator's gate-evaluation strategy; all
 // kernels produce bit-identical results (the differential suite enforces
 // this), so the choice only affects speed. The zero value honors the
-// FSIM_KERNEL environment variable and defaults to the event-driven kernel.
+// FSIM_KERNEL environment variable; without it, each fault-simulation run
+// uses the slab kernel for stuck-at fault lists with more groups than
+// fault-simulation workers (and at least two) and no output hook, and the
+// event-driven kernel otherwise.
 type Kernel = fsim.Kernel
 
 // The fault-simulation kernels.
