@@ -13,7 +13,9 @@
 # serve-smoke` drives `wbist serve` end to end over HTTP (submit, poll,
 # cache-hit resubmit, SIGTERM drain; see scripts/serve_smoke.sh); `make
 # shell-test` unit-tests the shared shell polling helper
-# (scripts/poll_test.sh).
+# (scripts/poll_test.sh); `make perfbench-test` vets and tests the perfbench
+# module, which has its own go.mod and so is never compiled by `go test
+# ./...` although it builds on this module's API.
 
 GO ?= go
 
@@ -22,7 +24,7 @@ GO ?= go
 FUZZ_TARGETS = FuzzRefVsFsim FuzzEventVsDense FuzzSlabVsDense FuzzFaultFreeVsSim FuzzWgenVsExpansion FuzzBenchRoundTrip FuzzTransitionVsRef FuzzBridgeVsRef
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-json bench-smoke bench-kernel bench-check serve-smoke shell-test
+.PHONY: all build test race vet fuzz-smoke cover cover-gate bench-json bench-smoke bench-kernel bench-check serve-smoke shell-test perfbench-test
 
 all: build test race vet
 
@@ -65,6 +67,10 @@ serve-smoke: build
 
 shell-test:
 	./scripts/poll_test.sh
+
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -count=1 ./...
 
 bench-check: build
 	$(GO) run ./cmd/experiments -circuits s298 -bench-json /tmp/wbist_bench_fresh.json bench

@@ -354,6 +354,9 @@ func cmdObs(args []string, cfg wbist.Config) error {
 		return err
 	}
 	res := wbist.ObsExperiment(r)
+	if err := cfg.Ctx.Err(); err != nil {
+		return err // a cancelled experiment holds only its first rows
+	}
 	t := tables.New(fmt.Sprintf("Observation point insertion for %s", name),
 		"seq", "sub", "len", "f.e.", "obs", "f.e.")
 	for _, row := range res.FilteredRows(99) {

@@ -91,6 +91,13 @@ type Options struct {
 	Ctx context.Context
 }
 
+// FsimOptions returns the fault-simulation options every generation phase
+// starts from: Init, Workers, Kernel and Ctx. Phases set their own per-run
+// fields (SaveStates, InitialStates, TimeOffset) on the returned value.
+func (o *Options) FsimOptions() fsim.Options {
+	return fsim.Options{Init: o.Init, Workers: o.Workers, Kernel: o.Kernel, Ctx: o.Ctx}
+}
+
 func (o *Options) fill(c *circuit.Circuit) {
 	if o.RandomLen == 0 {
 		o.RandomLen = 2 * c.NumGates()
@@ -175,7 +182,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// Phase 1: one long random sequence, truncated after the last detection.
 	p1 := span.Child("random")
 	seq := sim.RandomSequence(rng, c.NumInputs(), opts.RandomLen)
-	out := s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+	out := s.Run(seq, faults, opts.FsimOptions())
 	last := -1
 	for i := range faults {
 		if out.Detected[i] && out.DetTime[i] > last {
@@ -195,13 +202,15 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 	// saving; each trial then only pays for its own vectors, continued from
 	// the saved per-group states.
 	p2 := span.Child("directed")
-	remaining := undetectedSubset(faults, rerun(s, seq, faults, opts))
+	remaining := undetectedSubset(faults, s.Run(seq, faults, opts.FsimOptions()))
 	accepted := 0
 	budget := opts.Rounds * opts.Restarts
 	for len(remaining) > 0 && accepted < opts.MaxAccepts && budget > 0 && !ctxDone(opts.Ctx) {
 		// The remaining faults are undetected by seq, so this pass detects
 		// nothing and exists purely to capture the end-of-prefix states.
-		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+		fo := opts.FsimOptions()
+		fo.SaveStates = true
+		base := s.Run(seq, remaining, fo)
 		if base.Cancelled {
 			break // partial FinalStates are unusable; caller discards the run
 		}
@@ -211,13 +220,9 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 			// TimeOffset keeps the continued run's detection times on the
 			// same axis as the full sequence (prefix + trial), should a
 			// future consumer compare them with u_det(f).
-			o := s.Run(cand, remaining, fsim.Options{
-				InitialStates: base.FinalStates,
-				TimeOffset:    seq.Len(),
-				Workers:       opts.Workers,
-				Kernel:        opts.Kernel,
-				Ctx:           opts.Ctx,
-			})
+			fo := opts.FsimOptions()
+			fo.InitialStates, fo.TimeOffset = base.FinalStates, seq.Len()
+			o := s.Run(cand, remaining, fo)
 			if o.Cancelled {
 				break // a partial outcome must not decide acceptance
 			}
@@ -254,7 +259,7 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 		p3.End()
 	}
 
-	final := rerun(s, seq, faults, opts)
+	final := s.Run(seq, faults, opts.FsimOptions())
 	return &Result{
 		Seq:         seq,
 		Faults:      faults,
@@ -262,10 +267,6 @@ func Generate(c *circuit.Circuit, opts Options) *Result {
 		DetTime:     final.DetTime,
 		NumDetected: final.NumDetected,
 	}
-}
-
-func rerun(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) *fsim.Outcome {
-	return s.Run(seq, faults, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
 }
 
 // ctxDone reports whether a (possibly nil) context has been cancelled.
@@ -334,7 +335,7 @@ func compact(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Op
 // detected, so simulating the undetected ones during compaction would be
 // wasted effort. ok is false when the run was cancelled.
 func compactionTargets(s *fsim.Simulator, seq *sim.Sequence, faults []fault.Fault, opts Options) (targets []fault.Fault, ok bool) {
-	base := rerun(s, seq, faults, opts)
+	base := s.Run(seq, faults, opts.FsimOptions())
 	if base.Cancelled {
 		return nil, false
 	}
@@ -371,7 +372,7 @@ func compactBlocks(s *fsim.Simulator, seq *sim.Sequence, targets []fault.Fault, 
 			if cp != nil {
 				o, want = cp.suffixRun(seq, lo, hi)
 			} else {
-				o, want = rerun(s, spliced(seq, lo, hi), targets, opts), len(targets)
+				o, want = s.Run(spliced(seq, lo, hi), targets, opts.FsimOptions()), len(targets)
 			}
 			if o.Cancelled {
 				return seq
@@ -423,15 +424,9 @@ func newCheckpoints(s *fsim.Simulator, seq *sim.Sequence, targets []fault.Fault,
 	}
 	for b := 0; b < last; b++ {
 		lo := b * block
-		o := s.Run(view(seq, lo, lo+block), targets, fsim.Options{
-			Init:          opts.Init,
-			InitialStates: cp.states[b],
-			SaveStates:    true,
-			TimeOffset:    lo,
-			Workers:       opts.Workers,
-			Kernel:        opts.Kernel,
-			Ctx:           opts.Ctx,
-		})
+		fo := opts.FsimOptions()
+		fo.InitialStates, fo.SaveStates, fo.TimeOffset = cp.states[b], true, lo
+		o := s.Run(view(seq, lo, lo+block), targets, fo)
 		if o.Cancelled {
 			return nil
 		}
@@ -451,30 +446,16 @@ func newCheckpoints(s *fsim.Simulator, seq *sim.Sequence, targets []fault.Fault,
 // detections the candidate needs; when no target needs re-simulating, the
 // run is an empty outcome that needs none.
 func (cp *checkpoints) suffixRun(seq *sim.Sequence, lo, hi int) (*fsim.Outcome, int) {
-	var idx []int
-	var sub []fault.Fault
-	for i, t := range cp.detAt {
-		if t >= lo {
-			idx = append(idx, i)
-			sub = append(sub, cp.targets[i])
-		}
-	}
+	sub, idx := fault.Filter(cp.targets, func(i int) bool { return cp.detAt[i] >= lo })
 	if len(sub) == 0 {
 		return &fsim.Outcome{}, 0
 	}
-	var init [][]logic.W
+	fo := cp.opts.FsimOptions()
+	fo.TimeOffset = lo
 	if st := cp.states[lo/cp.block]; st != nil {
-		init = repackStates(st, idx)
+		fo.InitialStates = repackStates(st, idx)
 	}
-	o := cp.s.Run(view(seq, hi, seq.Len()), sub, fsim.Options{
-		Init:          cp.opts.Init,
-		InitialStates: init,
-		TimeOffset:    lo,
-		Workers:       cp.opts.Workers,
-		Kernel:        cp.opts.Kernel,
-		Ctx:           cp.opts.Ctx,
-	})
-	return o, len(sub)
+	return cp.s.Run(view(seq, hi, seq.Len()), sub, fo), len(sub)
 }
 
 // view returns seq[lo:hi) sharing seq's vectors; callers only read it.

@@ -27,7 +27,9 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 		goodSim := sim.New(c, opts.Init)
 		goodSim.Run(seq)
 		goodState := goodSim.State()
-		base := s.Run(seq, remaining, fsim.Options{Init: opts.Init, SaveStates: true, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+		fo := opts.FsimOptions()
+		fo.SaveStates = true
+		base := s.Run(seq, remaining, fo)
 		if base.Cancelled {
 			break // partial FinalStates are unusable; caller discards the run
 		}
@@ -49,12 +51,12 @@ func deterministicPhase(c *circuit.Circuit, s *fsim.Simulator, seq *sim.Sequence
 			cand := seq.Clone()
 			cand.Concat(res.Seq)
 			// Independent verification before acceptance.
-			verify := s.Run(cand, []fault.Fault{f}, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+			verify := s.Run(cand, []fault.Fault{f}, opts.FsimOptions())
 			if !verify.Detected[0] {
 				continue
 			}
 			// Accept; drop everything the extension detects.
-			out := s.Run(cand, remaining, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+			out := s.Run(cand, remaining, opts.FsimOptions())
 			seq = cand
 			remaining = undetectedSubset(remaining, out)
 			progressed = true

@@ -134,15 +134,6 @@ func RunSession(c *circuit.Circuit, session *sim.Sequence, faults []fault.Fault,
 func RunWeightedSession(res *core.Result, omega []core.Assignment, width int) (*Report, error) {
 	sp := res.Options.Span.Child("bist-session")
 	defer sp.End()
-	lg := res.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	for _, dt := range res.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
-	session := core.ConcatSequence(omega, lg)
+	session := core.ConcatSequence(omega, res.WindowLen())
 	return RunSession(res.Circuit, session, res.TargetFaults, res.Options.Init, width)
 }

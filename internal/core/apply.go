@@ -60,16 +60,12 @@ func (r *CoverageReport) Coverage() float64 {
 // faults in the given application mode. In PerWindowReset mode faults are
 // dropped across windows; in Continuous mode the whole session is one
 // simulation.
+//
+// A cancelled res.Options.Ctx stops at the first cancelled simulation; the
+// report is then incomplete, so callers must check the context before using
+// it.
 func MeasureCoverage(res *Result, omega []Assignment, mode ApplyMode) *CoverageReport {
-	lg := res.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	for _, dt := range res.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
+	lg := res.WindowLen()
 	rep := &CoverageReport{
 		Mode:     mode,
 		Detected: make([]bool, len(res.TargetFaults)),
@@ -79,26 +75,22 @@ func MeasureCoverage(res *Result, omega []Assignment, mode ApplyMode) *CoverageR
 	case Continuous:
 		seq := ConcatSequence(omega, lg)
 		rep.TotalCycles = seq.Len()
-		out := simulator.Run(seq, res.TargetFaults, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel})
+		out := simulator.Run(seq, res.TargetFaults, res.Options.FsimOptions())
 		copy(rep.Detected, out.Detected)
 		rep.NumDetected = out.NumDetected
 	default:
 		for _, a := range omega {
-			var fl []fault.Fault
-			var idx []int
-			for i, d := range rep.Detected {
-				if !d {
-					fl = append(fl, res.TargetFaults[i])
-					idx = append(idx, i)
-				}
-			}
+			fl, idx := fault.Filter(res.TargetFaults, func(i int) bool { return !rep.Detected[i] })
 			if len(fl) == 0 {
 				break
 			}
-			out := simulator.Run(a.GenSequence(lg), fl, fsim.Options{Init: res.Options.Init, Workers: res.Options.Workers, Kernel: res.Options.Kernel})
-			for k := range fl {
+			out := simulator.Run(a.GenSequence(lg), fl, res.Options.FsimOptions())
+			if out.Cancelled {
+				break
+			}
+			for k, i := range idx {
 				if out.Detected[k] {
-					rep.Detected[idx[k]] = true
+					rep.Detected[i] = true
 					rep.NumDetected++
 				}
 			}

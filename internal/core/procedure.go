@@ -81,6 +81,23 @@ func (o *Options) fill() {
 
 func (o *Options) sampleFirst() bool { return !o.NoSampleFirst }
 
+// FsimOptions returns the fault-simulation options every stage running on
+// this configuration starts from: Init, Workers, Kernel and Ctx. Stages set
+// their own per-run fields (AbortAfterFirstGroupIfNone, ObserveLines, ...)
+// on the returned value.
+func (o *Options) FsimOptions() fsim.Options {
+	return fsim.Options{Init: o.Init, Workers: o.Workers, Kernel: o.Kernel, Ctx: o.Ctx}
+}
+
+// windowLen is the length of an assignment's sequence T_G when it must
+// reproduce detections up to time unit u: L_G (2000 when 0) raised to u+1.
+func windowLen(lg, u int) int {
+	if lg == 0 {
+		lg = 2000
+	}
+	return max(lg, u+1)
+}
+
 // Trace records one accepted weight assignment for reporting.
 type Trace struct {
 	// U is the detection time the assignment was built around.
@@ -132,6 +149,19 @@ type Result struct {
 	SimulatedSequences int
 	// Options echoes the configuration used.
 	Options Options
+}
+
+// WindowLen is the window T_G every stage after the selection simulates per
+// assignment (reverse-order simulation, coverage measurement, the
+// observation-point experiment, the BIST session, run traces): L_G raised to
+// the latest target's detection time + 1, so every assignment's sequence is
+// at least as long as it was when the assignment was selected.
+func (r *Result) WindowLen() int {
+	maxU := 0
+	for _, dt := range r.DetTime {
+		maxU = max(maxU, dt)
+	}
+	return windowLen(r.Options.LG, maxU)
 }
 
 // Coverage returns the fraction of target faults detected by Omega's
@@ -204,15 +234,8 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 				return nil, err
 			}
 			seq := src.ParallelSequence(c.NumInputs(), opts.LG)
-			var fl []fault.Fault
-			var idx []int
-			for i, und := range undetected {
-				if und {
-					fl = append(fl, targets[i])
-					idx = append(idx, i)
-				}
-			}
-			out := simulator.Run(seq, fl, fsim.Options{Init: opts.Init, Workers: opts.Workers, Kernel: opts.Kernel, Ctx: opts.Ctx})
+			fl, idx := fault.Filter(targets, func(i int) bool { return undetected[i] })
+			out := simulator.Run(seq, fl, opts.FsimOptions())
 			res.SimulatedSequences++
 			telemetry.Add(telemetry.CtrCandidates, 1)
 			for k := range fl {
@@ -254,13 +277,9 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 		// remaining groups. The outcome's Aborted flag is deliberately
 		// unused here: a zero-detection candidate is rejected by the n == 0
 		// check below whether or not later groups were skipped.
-		out := simulator.Run(seq, fl, fsim.Options{
-			Init:                       opts.Init,
-			AbortAfterFirstGroupIfNone: opts.sampleFirst(),
-			Workers:                    opts.Workers,
-			Kernel:                     opts.Kernel,
-			Ctx:                        opts.Ctx,
-		})
+		fo := opts.FsimOptions()
+		fo.AbortAfterFirstGroupIfNone = opts.sampleFirst()
+		out := simulator.Run(seq, fl, fo)
 		res.SimulatedSequences++
 		telemetry.Add(telemetry.CtrCandidates, 1)
 		for k := range fl {
@@ -371,11 +390,7 @@ func Run(c *circuit.Circuit, t *sim.Sequence, targets []fault.Fault, detTime []i
 				if !a.HasLen(ls) {
 					continue
 				}
-				lg := opts.LG
-				if lg < u+1 {
-					lg = u + 1
-				}
-				nf, nt := simulate(a, lg, tIdx)
+				nf, nt := simulate(a, windowLen(opts.LG, u), tIdx)
 				if len(nf) > 0 {
 					res.Omega = append(res.Omega, a)
 					res.Traces = append(res.Traces, Trace{

@@ -12,57 +12,28 @@ import (
 // generated after it). The surviving assignments are returned in their
 // original relative order.
 //
-// detTime must hold the detection time of each target under T; it is used to
-// size each assignment's sequence exactly as during generation (LG raised to
-// u+1 for the latest target).
+// Each assignment's sequence is r.WindowLen() long, as during generation.
 //
 // A cancelled r.Options.Ctx stops the pass early; the returned list is then
 // incomplete, so callers must check the context before using it.
 func ReverseOrderCompact(r *Result) []Assignment {
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	maxU := 0
-	for _, dt := range r.DetTime {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
+	lg := r.WindowLen()
 	simulator := fsim.New(r.Circuit)
-	undetected := make([]bool, len(r.TargetFaults))
-	for i := range undetected {
-		undetected[i] = true
-	}
+	detected := make([]bool, len(r.TargetFaults))
 	remaining := len(r.TargetFaults)
 	keep := make([]bool, len(r.Omega))
 	for j := len(r.Omega) - 1; j >= 0 && remaining > 0; j-- {
-		var fl []fault.Fault
-		var idx []int
-		for i, u := range undetected {
-			if u {
-				fl = append(fl, r.TargetFaults[i])
-				idx = append(idx, i)
-			}
-		}
-		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel, Ctx: r.Options.Ctx})
+		fl, idx := fault.Filter(r.TargetFaults, func(i int) bool { return !detected[i] })
+		out := simulator.Run(r.Omega[j].GenSequence(lg), fl, r.Options.FsimOptions())
 		if out.Cancelled {
 			break // a partial outcome would prune Ω wrongly; callers check Ctx
 		}
-		n := 0
-		for k := range fl {
+		for k, i := range idx {
 			if out.Detected[k] {
-				undetected[idx[k]] = false
+				detected[i] = true
 				remaining--
-				n++
+				keep[j] = true
 			}
-		}
-		if n > 0 {
-			keep[j] = true
 		}
 	}
 	var out []Assignment
@@ -78,32 +49,26 @@ func ReverseOrderCompact(r *Result) []Assignment {
 // target faults (no dropping across assignments) and returns, per
 // assignment, the bitset of detected target-fault indices. This is the input
 // to the observation-point experiment's greedy selection (Section 5).
+//
+// A cancelled r.Options.Ctx stops at the first cancelled simulation and
+// returns only the sets of the assignments before it, so callers must check
+// the context before using them.
 func DetectionSets(r *Result) []fsim.Bitset {
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	maxU := 0
-	for _, dt := range r.DetTime {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
+	lg := r.WindowLen()
 	simulator := fsim.New(r.Circuit)
-	sets := make([]fsim.Bitset, len(r.Omega))
-	for j := range r.Omega {
-		seq := r.Omega[j].GenSequence(lg)
-		out := simulator.Run(seq, r.TargetFaults, fsim.Options{Init: r.Options.Init, Workers: r.Options.Workers, Kernel: r.Options.Kernel})
+	sets := make([]fsim.Bitset, 0, len(r.Omega))
+	for _, a := range r.Omega {
+		out := simulator.Run(a.GenSequence(lg), r.TargetFaults, r.Options.FsimOptions())
+		if out.Cancelled {
+			break
+		}
 		b := fsim.NewBitset(len(r.TargetFaults))
-		for i := range r.TargetFaults {
-			if out.Detected[i] {
+		for i, d := range out.Detected {
+			if d {
 				b.Set(i)
 			}
 		}
-		sets[j] = b
+		sets = append(sets, b)
 	}
 	return sets
 }

@@ -79,7 +79,9 @@ type Config struct {
 	// returns ctx.Err() promptly. Like Telemetry, Ctx is not part of the
 	// memoization key — and since errors (including cancellations) evict
 	// their memo entry, a later identical call recomputes instead of
-	// inheriting the cancellation.
+	// inheriting the cancellation. The stages after the pipeline (TraceRun,
+	// ObsExperiment, core.MeasureCoverage) poll the Ctx their Run carries;
+	// a memo hit carries its caller's Ctx, never the leader's.
 	Ctx context.Context
 }
 
@@ -226,7 +228,8 @@ func CanonicalConfig(name string, cfg Config) Config {
 // RunCircuit executes (or returns the memoized) pipeline for a suite circuit.
 // Concurrent callers with the same (circuit, configuration) share a single
 // computation: the first one runs the pipeline, the rest block on it and
-// receive the same *Run. A failed computation is evicted before its error is
+// receive the same *Run — bound to their own cfg.Ctx, so a caller with a
+// context gets a shallow copy that carries it (see Run.withCtx). A failed computation is evicted before its error is
 // reported, so the next caller with the same key retries instead of
 // replaying a stale (possibly transient) failure forever.
 func RunCircuit(name string, cfg Config) (*Run, error) {
@@ -253,12 +256,16 @@ func RunCircuit(name string, cfg Config) (*Run, error) {
 		// error included — a concurrent joiner is part of the failed flight,
 		// not a retry).
 		<-e.done
-		return e.r, e.err
+		return e.r.withCtx(cfg.Ctx), e.err
 	}
 
 	// Leader: compute, publish, and on error evict the entry so a later
-	// identical call recomputes.
-	e.r, e.err = computeRun(name, cfg)
+	// identical call recomputes. The memo keeps the run without the
+	// leader's context: the post-pipeline stages poll the context their Run
+	// carries, and a leader that cancels its context once its call returns
+	// must not cut short a later caller's stages.
+	r, err := computeRun(name, cfg)
+	e.r, e.err = r.withCtx(nil), err
 	if e.err != nil {
 		cacheMu.Lock()
 		if cache[k] == e {
@@ -267,7 +274,24 @@ func RunCircuit(name string, cfg Config) (*Run, error) {
 		cacheMu.Unlock()
 	}
 	close(e.done)
-	return e.r, e.err
+	return r, err
+}
+
+// withCtx returns r bound to ctx: r itself when neither carries a context,
+// else a shallow copy whose Config.Ctx and Core.Options.Ctx are ctx. The copy
+// shares every result (T, Ω, the compacted Ω) with r.
+func (r *Run) withCtx(ctx context.Context) *Run {
+	if r == nil || (ctx == nil && r.Config.Ctx == nil) {
+		return r
+	}
+	rr := *r
+	rr.Config.Ctx = ctx
+	if r.Core != nil {
+		cr := *r.Core
+		cr.Options.Ctx = ctx
+		rr.Core = &cr
+	}
+	return &rr
 }
 
 func computeRun(name string, cfg Config) (*Run, error) {

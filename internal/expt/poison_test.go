@@ -3,11 +3,13 @@ package expt
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/iscas"
 	"repro/internal/telemetry"
 )
@@ -264,8 +266,85 @@ func TestRunPipelineCancelledInCompaction(t *testing.T) {
 	}
 }
 
+// TestPostPipelineStagesCancelled: the stages that re-simulate a finished
+// run — the observation-point experiment, the run trace and coverage
+// measurement — take their context from the run's core options, so a
+// cancellation that lands inside one of them, at any of its context polls,
+// stops it within one further poll: the experiment comes back cut short,
+// the trace returns context.Canceled and the coverage report stops before
+// its last window. A stage that never polled the context would leave the
+// cancel unfired.
+func TestPostPipelineStagesCancelled(t *testing.T) {
+	c, err := iscas.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	cfg := CanonicalConfig("s298", Config{LG: 100, Seed: 1})
+	cfg.Ctx = live
+	r, err := RunPipeline(c, InitFor("s298"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withCtx returns r with its core options carrying a fresh context that
+	// cancels itself on its n-th poll (never for n < 0).
+	withCtx := func(n int64) (*Run, *pollCancelCtx) {
+		parent, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		ctx := &pollCancelCtx{Context: parent, cancel: cancel, n: n}
+		ctx.armed.Store(true)
+		return r.withCtx(ctx), ctx
+	}
+	// Each stage reports the size of its result: rows, trace segments (-1
+	// for a cancelled trace) and simulated cycles.
+	stages := []struct {
+		name string
+		size func(r *Run) int
+	}{
+		{"obs", func(r *Run) int { return len(ObsExperiment(r).Rows) }},
+		{"trace", func(r *Run) int {
+			rt, err := TraceRun(r)
+			switch {
+			case errors.Is(err, context.Canceled):
+				return -1
+			case err != nil:
+				t.Fatalf("TraceRun: %v", err)
+			case r.Core.Options.Ctx.Err() != nil:
+				t.Errorf("TraceRun returned a trace, not context.Canceled, after a cancel")
+			}
+			return len(rt.Segments)
+		}},
+		{"coverage", func(r *Run) int {
+			return core.MeasureCoverage(r.Core, r.Core.Omega, core.PerWindowReset).TotalCycles
+		}},
+	}
+	for _, st := range stages {
+		rr, ctx := withCtx(-1)
+		full := st.size(rr)
+		total := ctx.polls.Load()
+		if total < 4 {
+			t.Fatalf("%s: uncancelled stage polled its context %d times, want it threaded into every simulation", st.name, total)
+		}
+		for _, n := range []int64{1, 2, 3, total / 2, total - 1, total} {
+			rr, ctx := withCtx(n)
+			got := st.size(rr)
+			if ctx.Err() == nil {
+				t.Fatalf("%s, poll %d of %d: the cancel never fired", st.name, n, total)
+			}
+			if got == full {
+				t.Errorf("%s, poll %d of %d: a cancelled stage returned a complete result", st.name, n, total)
+			}
+			if extra := ctx.polls.Load() - n; extra > 1 {
+				t.Errorf("%s, poll %d of %d: %d more polls after the cancel, want a prompt stop", st.name, n, total, extra)
+			}
+		}
+	}
+}
+
 // TestCtxNotPartOfMemoKey: runs differing only in their context share one
-// memoized computation, like Workers and Telemetry.
+// memoized computation, like Workers and Telemetry, but each caller gets the
+// run bound to its own context.
 func TestCtxNotPartOfMemoKey(t *testing.T) {
 	ClearCache()
 	a, err := RunCircuit("s27", Config{LG: 100, Seed: 1})
@@ -278,8 +357,52 @@ func TestCtxNotPartOfMemoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("Ctx leaked into the memoization key")
+	if a.T != b.T || &a.Core.Omega[0] != &b.Core.Omega[0] || &a.Compacted[0] != &b.Compacted[0] {
+		t.Fatal("Ctx leaked into the memoization key: the hit recomputed the run")
+	}
+	if a.Config.Ctx != nil || a.Core.Options.Ctx != nil {
+		t.Error("a caller without a context received a run carrying one")
+	}
+	if b.Config.Ctx != cfg.Ctx || b.Core.Options.Ctx != cfg.Ctx {
+		t.Error("a memo hit does not carry its caller's context")
+	}
+}
+
+// TestMemoHitOutlivesLeaderCtx: a leader that cancels its context once
+// RunCircuit returns (defer cancel(), a finished HTTP request) must not cut
+// short the post-pipeline stages of a later caller that hits its memo entry.
+func TestMemoHitOutlivesLeaderCtx(t *testing.T) {
+	ClearCache()
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	lead, err := RunCircuit("s27", Config{LG: 100, Seed: 1, Ctx: leaderCtx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ObsExperiment(lead)
+	wantTrace, err := TraceRun(lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		r, err := RunCircuit("s27", Config{LG: 100, Seed: 1, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := TraceRun(r)
+		if err != nil {
+			t.Fatalf("ctx %v: TraceRun after the leader's cancel: %v", ctx, err)
+		}
+		if len(tr.Segments) != len(wantTrace.Segments) {
+			t.Errorf("ctx %v: trace has %d segments, want the leader's %d", ctx, len(tr.Segments), len(wantTrace.Segments))
+		}
+		if got := ObsExperiment(r); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("ctx %v: obs rows after the leader's cancel = %d, want the %d uncancelled rows", ctx, len(got.Rows), len(want.Rows))
+		}
+		if cov := core.MeasureCoverage(r.Core, r.Core.Omega, core.PerWindowReset); cov.TotalCycles == 0 {
+			t.Errorf("ctx %v: coverage after the leader's cancel simulated nothing", ctx)
+		}
 	}
 }
 

@@ -13,17 +13,19 @@ import (
 // result is the data behind `wbist report` — which assignment detects which
 // fault, when, and at which output.
 //
-// The re-simulation reuses the run's configuration (Init, LG, Workers,
-// Kernel), so by the simulator's determinism guarantee the outcome matches
-// the original run bit for bit regardless of worker count or kernel; the
-// trace costs one extra simulation of T plus one per compacted assignment.
+// The re-simulation reuses the run's simulation settings
+// (r.Core.Options.FsimOptions and WindowLen), so by the simulator's
+// determinism guarantee the outcome matches the original run bit for bit
+// regardless of worker count or kernel; the trace costs one extra simulation
+// of T plus one per compacted assignment. A run whose context is cancelled
+// mid-trace returns ctx.Err().
 func TraceRun(r *Run) (*obsv.RunTrace, error) {
 	c := r.Circuit
-	cfg := r.Config
+	fo := r.Core.Options.FsimOptions()
 	rt := &obsv.RunTrace{
 		Schema:  obsv.TraceSchema,
 		Circuit: r.Name,
-		Kernel:  cfg.Kernel.Resolve().String(),
+		Kernel:  fo.Kernel.Resolve().String(),
 		Targets: len(r.Targets),
 		TLen:    r.T.Len(),
 	}
@@ -34,60 +36,37 @@ func TraceRun(r *Run) (*obsv.RunTrace, error) {
 
 	// Segment -1: T against the whole collapsed universe of the run's fault
 	// model. Event fault indices are universe indices.
-	model, err := fault.ModelByName(cfg.FaultModel)
+	model, err := fault.ModelByName(r.Config.FaultModel)
 	if err != nil {
 		return nil, err
 	}
 	universe := fault.CollapsedUniverseFor(c, model)
 	rt.TotalFaults = len(universe)
-	tr := obsv.NewTrace()
-	out := simulator.Run(r.T, universe, fsim.Options{
-		Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel, Trace: tr,
-	})
-	rt.Segments = append(rt.Segments, tr.Segment(r.T.Len(), len(universe), out.NumDetected))
+	fo.Trace = obsv.NewTrace()
+	out := simulator.Run(r.T, universe, fo)
+	if out.Cancelled {
+		return nil, fo.Ctx.Err()
+	}
+	rt.Segments = append(rt.Segments, fo.Trace.Segment(r.T.Len(), len(universe), out.NumDetected))
 
 	// One segment per compacted assignment, in schedule order, against the
 	// targets still undetected when it runs — the same fault-dropping walk
 	// the generated hardware performs. Windows are sized exactly like the
-	// generation and reverse-order phases (LG raised to the latest target's
-	// detection time + 1).
-	lg := cfg.LG
-	maxU := 0
-	for _, dt := range r.DetTimes {
-		if dt > maxU {
-			maxU = dt
-		}
-	}
-	if lg < maxU+1 {
-		lg = maxU + 1
-	}
-	undetected := make([]bool, len(r.Targets))
-	for i := range undetected {
-		undetected[i] = true
-	}
+	// reverse-order phase (r.Core.WindowLen).
+	lg := r.Core.WindowLen()
+	detected := make([]bool, len(r.Targets))
 	for j, a := range r.Compacted {
-		var fl []fault.Fault
-		var idx []int
-		for i, und := range undetected {
-			if und {
-				fl = append(fl, r.Targets[i])
-				idx = append(idx, i)
-			}
+		fl, idx := fault.Filter(r.Targets, func(i int) bool { return !detected[i] })
+		fo.Trace = obsv.NewTrace()
+		fo.Trace.Assignment = j
+		out := simulator.Run(a.GenSequence(lg), fl, fo)
+		if out.Cancelled {
+			return nil, fo.Ctx.Err()
 		}
-		tr := obsv.NewTrace()
-		tr.Assignment = j
-		seq := a.GenSequence(lg)
-		out := simulator.Run(seq, fl, fsim.Options{
-			Init: r.Init, Workers: cfg.Workers, Kernel: cfg.Kernel, Trace: tr,
-		})
-		det := 0
-		for k := range fl {
-			if out.Detected[k] {
-				undetected[idx[k]] = false
-				det++
-			}
+		for k, i := range idx {
+			detected[i] = out.Detected[k]
 		}
-		seg := tr.Segment(lg, len(fl), det)
+		seg := fo.Trace.Segment(lg, len(fl), out.NumDetected)
 		// Remap the window's local fault indices to target indices so every
 		// assignment segment speaks the same fault space.
 		for k := range seg.Events {

@@ -106,9 +106,10 @@ func TestTraceRunKernelInvariant(t *testing.T) {
 	var want *obsv.RunTrace
 	for _, k := range []fsim.Kernel{fsim.KernelDense, fsim.KernelEvent} {
 		for _, workers := range []int{1, 4} {
-			rr := *r
-			rr.Config.Kernel = k
-			rr.Config.Workers = workers
+			rr, cr := *r, *r.Core
+			cr.Options.Kernel = k
+			cr.Options.Workers = workers
+			rr.Core = &cr
 			rt, err := TraceRun(&rr)
 			if err != nil {
 				t.Fatal(err)

@@ -204,3 +204,17 @@ func Collapse(c *circuit.Circuit, faults []Fault) []Fault {
 func CollapsedUniverse(c *circuit.Circuit) []Fault {
 	return Collapse(c, Universe(c))
 }
+
+// Filter returns the faults whose index passes keep, in order, together with
+// those indices (idx[k] is the position of kept[k] in faults). Stages that
+// re-simulate only the still-undetected targets use idx to map each run's
+// outcome back onto the full target list.
+func Filter(faults []Fault, keep func(i int) bool) (kept []Fault, idx []int) {
+	for i, f := range faults {
+		if keep(i) {
+			kept = append(kept, f)
+			idx = append(idx, i)
+		}
+	}
+	return kept, idx
+}

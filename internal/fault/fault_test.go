@@ -255,3 +255,17 @@ func TestCollapseDominanceCoverageImplication(t *testing.T) {
 		}
 	}
 }
+
+func TestFilter(t *testing.T) {
+	faults := []Fault{{Node: 1}, {Node: 2}, {Node: 3}, {Node: 4}}
+	kept, idx := Filter(faults, func(i int) bool { return i%2 == 1 })
+	if len(kept) != 2 || kept[0].Node != 2 || kept[1].Node != 4 {
+		t.Fatalf("kept = %v, want the faults at indices 1 and 3", kept)
+	}
+	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
+		t.Fatalf("idx = %v, want [1 3]", idx)
+	}
+	if kept, idx := Filter(faults, func(int) bool { return false }); kept != nil || idx != nil {
+		t.Fatalf("Filter keeping nothing = %v, %v, want nil slices", kept, idx)
+	}
+}

@@ -90,10 +90,12 @@ type Options struct {
 	// unsplit sequence. StopTime remains relative to the new sequence.
 	TimeOffset int
 	// Workers is the number of goroutines the independent fault groups are
-	// sharded over. 0 or 1 simulates sequentially on the calling goroutine;
-	// n > 1 uses min(n, number of groups) workers, each with its own scratch
-	// simulator. Results are merged into pre-sized per-group slices, so the
-	// outcome is bit-identical to a sequential run regardless of scheduling.
+	// sharded over, in batches of consecutive groups (one group per dense or
+	// event batch, the slab lane width per slab batch). 0 or 1 simulates
+	// sequentially on the calling goroutine; n > 1 uses min(n, batches)
+	// workers, each with its own scratch simulator. Results are merged into
+	// pre-sized per-group slices, so the outcome is bit-identical to a
+	// sequential run regardless of scheduling.
 	// OutputHook forces sequential execution (see its ordering contract);
 	// AbortAfterFirstGroupIfNone always simulates group 0 alone, before any
 	// fan-out, to preserve the Section 4.2 effort reduction.
@@ -115,14 +117,14 @@ type Options struct {
 	// event kernels. Like Workers, it never changes the outcome — only how
 	// the identical result is computed.
 	SlabLanes int
-	// Ctx, if non-nil, cancels the run at fault-group granularity: the
-	// worker pool (and the sequential loop) checks it before claiming each
-	// group, so a cancelled run stops scheduling new passes and returns its
-	// workers promptly instead of burning through the remaining groups. A
-	// group already in flight finishes its pass — results stay well-formed —
-	// and the outcome is marked Cancelled; the skipped groups are counted on
-	// the fsim.groups_cancelled telemetry counter. A nil Ctx (the default)
-	// never cancels and costs nothing.
+	// Ctx, if non-nil, cancels the run at batch granularity: the worker pool
+	// (and the sequential loop) checks it before claiming each batch (a group
+	// or a slab batch), so a cancelled run stops scheduling new passes and
+	// returns its workers promptly instead of burning through the remaining
+	// groups. A batch already in flight finishes its pass — results stay
+	// well-formed — and the outcome is marked Cancelled; the skipped groups
+	// are counted on the fsim.groups_cancelled telemetry counter. A nil Ctx
+	// (the default) never cancels and costs nothing.
 	Ctx context.Context
 	// Trace, if non-nil, receives the run's detection-provenance stream
 	// (see internal/obsv): one event per first detection carrying the fault
@@ -348,9 +350,10 @@ func Run(c *circuit.Circuit, seq *sim.Sequence, faults []fault.Fault, opts Optio
 
 // Run fault-simulates seq against faults and returns the outcome.
 //
-// With Options.Workers > 1 the independent fault groups are sharded over a
-// worker pool; each group writes a disjoint slice region of the outcome, so
-// the result is bit-identical to the sequential run regardless of scheduling.
+// With Options.Workers > 1 the batches of independent fault groups are
+// sharded over a worker pool; each group writes a disjoint slice region of the
+// outcome, so the result is bit-identical to the sequential run regardless of
+// scheduling.
 func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *Outcome {
 	numGroups := (len(faults) + GroupSize - 1) / GroupSize
 	workers := opts.Workers
@@ -397,23 +400,24 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		return out
 	}
 
-	first := 0
 	if ctxDone(opts.Ctx) {
 		out.Cancelled = true
 		telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups))
 		return out
 	}
+	// Every kernel runs as batches of w consecutive groups: one group per
+	// dense or event batch, slabLanes groups per slab batch.
+	w := 1
 	if opts.Kernel == KernelSlab {
-		// The slab kernel shards batches-of-W instead of single groups; its
-		// dispatch (including the abort-first-group path) lives in runSlab.
-		s.runSlab(seq, faults, numGroups, workers, stop, opts, out)
-		return out
+		w = s.slabLanes(opts, numGroups, workers)
 	}
+	first := 0
 	if opts.AbortAfterFirstGroupIfNone {
 		// The Section 4.2 effort reduction: the first group (target fault
-		// plus sample) always runs alone, before any fan-out.
+		// plus sample) always runs alone, as a batch of one, before any
+		// fan-out.
 		var tb counterBatch
-		out.NumDetected = s.runGroup(seq, faults, 0, min(GroupSize, len(faults)), stop, opts, out, &tb)
+		out.NumDetected = s.runBatch(seq, faults, 0, 1, w, stop, opts, out, &tb)
 		tb.flush()
 		if out.NumDetected == 0 {
 			// Only a run that actually skipped groups counts as aborted;
@@ -423,32 +427,38 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 		}
 		first = 1
 	}
-	if rem := numGroups - first; workers > rem {
-		workers = rem
-	}
+	numBatches := (numGroups - first + w - 1) / w
+	workers = min(workers, numBatches)
 
 	if workers <= 1 {
 		var tb counterBatch
-		for g := first; g < numGroups; g++ {
+		for b := 0; b < numBatches; b++ {
+			g0 := first + b*w
 			if ctxDone(opts.Ctx) {
 				out.Cancelled = true
-				tb.cancelled += int64(numGroups - g)
+				tb.cancelled += int64(numGroups - g0)
 				break
 			}
-			lo := g * GroupSize
-			out.NumDetected += s.runGroup(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
+			out.NumDetected += s.runBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
 		}
 		tb.flush()
 		return out
 	}
 
-	// Parallel fan-out: workers pull group indices from an atomic cursor and
-	// write disjoint regions of the outcome; per-group detection counts are
-	// merged in group order afterwards, so the sum (and everything else) is
-	// independent of scheduling.
-	detected := make([]int, numGroups)
+	s.fanOut(seq, faults, first, w, numGroups, workers, stop, opts, out)
+	return out
+}
+
+// fanOut is Run's parallel half: workers goroutines pull the batch indices
+// of groups first..numGroups-1 from an atomic cursor and write disjoint
+// regions of out; per-batch detection counts are merged in batch order
+// afterwards, so the sum (and everything else) is independent of scheduling.
+// It is a method of its own so that only parallel runs pay for the values
+// the worker goroutines share.
+func (s *Simulator) fanOut(seq *sim.Sequence, faults []fault.Fault, first, w, numGroups, workers, stop int, opts Options, out *Outcome) {
+	numBatches := (numGroups - first + w - 1) / w
+	detected := make([]int, numBatches)
 	var cursor atomic.Int64
-	cursor.Store(int64(first))
 	var wg sync.WaitGroup
 	for _, ws := range s.workerSims(workers) {
 		wg.Add(1)
@@ -456,35 +466,32 @@ func (s *Simulator) Run(seq *sim.Sequence, faults []fault.Fault, opts Options) *
 			defer wg.Done()
 			var tb counterBatch
 			defer tb.flush()
-			for {
-				// Checked before claiming, so a cancelled run stops
-				// scheduling passes and this worker goroutine exits (the
-				// "return workers to the pool" half of job cancellation).
-				if ctxDone(opts.Ctx) {
+			// Checked before claiming, so a cancelled run stops scheduling
+			// passes and this worker goroutine exits (the "return workers to
+			// the pool" half of job cancellation).
+			for !ctxDone(opts.Ctx) {
+				b := int(cursor.Add(1)) - 1
+				if b >= numBatches {
 					return
 				}
-				g := int(cursor.Add(1)) - 1
-				if g >= numGroups {
-					return
-				}
-				lo := g * GroupSize
-				detected[g] = ws.runGroup(seq, faults, lo, min(lo+GroupSize, len(faults)), stop, opts, out, &tb)
+				g0 := first + b*w
+				detected[b] = ws.runBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
 			}
 		}(ws)
 	}
 	wg.Wait()
-	for _, n := range detected[first:] {
+	for _, n := range detected {
 		out.NumDetected += n
 	}
-	// cursor counts claimed groups; every claimed group ran to completion,
-	// so anything short of numGroups was skipped due to cancellation.
+	// cursor counts claimed batches; every claimed batch ran to completion,
+	// and every unclaimed batch before the tail holds w groups, so the
+	// skipped group count is exact.
 	if ctxDone(opts.Ctx) {
-		if claimed := int(cursor.Load()); claimed < numGroups {
+		if claimed := int(cursor.Load()); claimed < numBatches {
 			out.Cancelled = true
-			telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups-claimed))
+			telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups-first-claimed*w))
 		}
 	}
-	return out
 }
 
 // runKernel is the concrete kernel of one run. An explicit Options.Kernel or
@@ -554,13 +561,19 @@ func (b *counterBatch) flush() {
 	*b = counterBatch{}
 }
 
-// runGroup simulates faults[lo:hi] (at most GroupSize of them) in slots
-// 1..hi-lo alongside the fault-free machine in slot 0, writing only this
-// group's disjoint regions of out (Detected/DetTime/Lines for faults[lo:hi],
-// FinalStates[lo/GroupSize]) and returning the number of detections. Never
-// touching shared scalars is what makes the parallel fan-out race-free.
-// Dispatches on the (already resolved) Options.Kernel.
-func (s *Simulator) runGroup(seq *sim.Sequence, faults []fault.Fault, lo, hi, stop int, opts Options, out *Outcome, tb *counterBatch) int {
+// runBatch simulates the n fault groups g0..g0+n-1 of one batch (n ≤ w, the
+// run's batch width), writing only those groups' disjoint regions of out
+// (Detected/DetTime/Lines for their faults, their FinalStates) and returning
+// the number of detections. Never touching shared scalars is what makes the
+// parallel fan-out race-free. Dispatches on the (already resolved)
+// Options.Kernel: a slab batch packs its groups into the lanes of one
+// w-wide slab; dense and event batches hold a single group.
+func (s *Simulator) runBatch(seq *sim.Sequence, faults []fault.Fault, g0, n, w, stop int, opts Options, out *Outcome, tb *counterBatch) int {
+	if opts.Kernel == KernelSlab {
+		return s.runSlabBatch(seq, faults, g0, n, w, stop, opts, out, tb)
+	}
+	lo := g0 * GroupSize
+	hi := min(lo+GroupSize, len(faults))
 	if opts.Kernel == KernelEvent && !groupHasBridge(faults[lo:hi]) {
 		return s.runGroupEvent(seq, faults, lo, hi, stop, opts, out, tb)
 	}

@@ -2,15 +2,12 @@ package fsim
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // The slab kernel simulates W fault groups per pass. Per-node state is a
@@ -267,90 +264,6 @@ func (s *Simulator) buildInjectionSlab(faults []fault.Fault, nl int) {
 					slabPinForce{lane: int32(l), pin: int32(f.Pin), mask: 1 << slot, bit: f.Stuck == 1})
 				sl.pinLanes[idx] |= 1 << uint(l)
 			}
-		}
-	}
-}
-
-// runSlab is the slab kernel's counterpart of Run's dispatch body: it shards
-// batches-of-W (instead of single groups) over the worker pool. Group
-// independence makes the merge bit-identical to sequential for any worker
-// count and any W, exactly as for the other kernels.
-func (s *Simulator) runSlab(seq *sim.Sequence, faults []fault.Fault, numGroups, workers, stop int, opts Options, out *Outcome) {
-	w := s.slabLanes(opts, numGroups, workers)
-
-	first := 0
-	if opts.AbortAfterFirstGroupIfNone {
-		// The Section 4.2 effort reduction: group 0 runs alone (one active
-		// lane) so the abort decision sees exactly the dense kernel's view.
-		var tb counterBatch
-		out.NumDetected = s.runSlabBatch(seq, faults, 0, 1, w, stop, opts, out, &tb)
-		tb.flush()
-		if out.NumDetected == 0 {
-			out.Aborted = numGroups > 1
-			return
-		}
-		first = 1
-	}
-	rem := numGroups - first
-	if rem == 0 {
-		return
-	}
-	numBatches := (rem + w - 1) / w
-	if workers > numBatches {
-		workers = numBatches
-	}
-
-	if workers <= 1 {
-		var tb counterBatch
-		for b := 0; b < numBatches; b++ {
-			if ctxDone(opts.Ctx) {
-				out.Cancelled = true
-				tb.cancelled += int64(numGroups - (first + b*w))
-				break
-			}
-			g0 := first + b*w
-			out.NumDetected += s.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
-		}
-		tb.flush()
-		return
-	}
-
-	// Parallel fan-out over batch indices: each batch writes the disjoint
-	// outcome regions of its own groups, per-batch detection counts merge in
-	// batch order afterwards.
-	detected := make([]int, numBatches)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for _, ws := range s.workerSims(workers) {
-		wg.Add(1)
-		go func(ws *Simulator) {
-			defer wg.Done()
-			var tb counterBatch
-			defer tb.flush()
-			for {
-				if ctxDone(opts.Ctx) {
-					return
-				}
-				b := int(cursor.Add(1)) - 1
-				if b >= numBatches {
-					return
-				}
-				g0 := first + b*w
-				detected[b] = ws.runSlabBatch(seq, faults, g0, min(w, numGroups-g0), w, stop, opts, out, &tb)
-			}
-		}(ws)
-	}
-	wg.Wait()
-	for _, n := range detected {
-		out.NumDetected += n
-	}
-	// cursor counts claimed batches; every claimed batch ran to completion.
-	// Unclaimed batches before the tail are full-width, so the skipped group
-	// count is exact.
-	if ctxDone(opts.Ctx) {
-		if claimed := int(cursor.Load()); claimed < numBatches {
-			out.Cancelled = true
-			telemetry.Add(telemetry.CtrGroupsCancelled, int64(numGroups-first-claimed*w))
 		}
 	}
 }

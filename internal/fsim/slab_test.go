@@ -1,7 +1,6 @@
 package fsim
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/randutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // TestSlabWorkersBitIdentical shards batches-of-W over the worker pool and
@@ -113,53 +111,6 @@ func TestSlabOutputHook(t *testing.T) {
 	}
 	if want := Run(c, seq, faults, Options{Init: logic.Zero, Kernel: KernelDense}); out.NumDetected != want.NumDetected {
 		t.Fatalf("hooked slab run detected %d, want %d", out.NumDetected, want.NumDetected)
-	}
-}
-
-// TestSlabCancel: a pre-cancelled context skips every batch in both the
-// sequential and the parallel sharding paths, and the skipped groups are
-// counted exactly.
-func TestSlabCancel(t *testing.T) {
-	c := iscas.MustLoad("s298")
-	faults := fault.CollapsedUniverse(c)
-	groups := int64((len(faults) + GroupSize - 1) / GroupSize)
-	seq := sim.RandomSequence(randutil.New(7), c.NumInputs(), 32)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	for _, workers := range []int{1, 4} {
-		before := telemetry.Counters()
-		out := Run(c, seq, faults, Options{
-			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 4, Workers: workers, Ctx: ctx,
-		})
-		d := telemetry.Counters().Sub(before)
-		if !out.Cancelled {
-			t.Fatalf("workers=%d: Cancelled = false", workers)
-		}
-		if out.NumDetected != 0 {
-			t.Fatalf("workers=%d: detected %d on a pre-cancelled run", workers, out.NumDetected)
-		}
-		if got := d.Get(telemetry.CtrGroupsCancelled); got != groups {
-			t.Fatalf("workers=%d: groups_cancelled delta = %d, want %d", workers, got, groups)
-		}
-	}
-
-	// Racing cancellation against the parallel shard must still account for
-	// every group: lanes that ran plus lanes counted as cancelled.
-	for trial := 0; trial < 4; trial++ {
-		rctx, rcancel := context.WithCancel(context.Background())
-		go rcancel()
-		out := Run(c, seq, faults, Options{
-			Init: logic.Zero, Kernel: KernelSlab, SlabLanes: 2, Workers: 4, Ctx: rctx,
-		})
-		if out.Cancelled {
-			for fi, det := range out.Detected {
-				if det && out.DetTime[fi] < 0 {
-					t.Fatalf("trial %d: detected fault %d with negative DetTime", trial, fi)
-				}
-			}
-		}
-		rcancel()
 	}
 }
 

@@ -153,19 +153,17 @@ func Experiment(r *core.Result) *Result {
 
 // ExperimentWithCover is Experiment with a custom observation-point
 // selection strategy.
+//
+// A cancelled r.Options.Ctx stops the experiment at its first cancelled
+// simulation; the result then holds only the rows before it, so callers
+// must check the context before using it.
 func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 	sp := r.Options.Span.Child("obs")
 	defer sp.End()
-	lg := r.Options.LG
-	if lg == 0 {
-		lg = 2000
-	}
-	for _, dt := range r.DetTime {
-		if dt+1 > lg {
-			lg = dt + 1
-		}
-	}
 	detSets := core.DetectionSets(r)
+	if len(detSets) < len(r.Omega) {
+		return &Result{} // cancelled: the greedy order needs every set
+	}
 	nTargets := len(r.TargetFaults)
 	order := greedyOrder(detSets, nTargets)
 
@@ -173,6 +171,9 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 	if nTargets == 0 {
 		return res
 	}
+	lg := r.WindowLen()
+	fo := r.Options.FsimOptions()
+	fo.ObserveLines = true
 
 	simulator := fsim.New(r.Circuit)
 	// undetected faults under the current prefix
@@ -199,16 +200,11 @@ func ExperimentWithCover(r *core.Result, coverFn CoverFunc) *Result {
 		// Assignment j contributes observability lines for the still
 		// undetected faults.
 		if remaining > 0 {
-			var fl []fault.Fault
-			var idx []int
-			for i := 0; i < nTargets; i++ {
-				if undet[i] {
-					fl = append(fl, r.TargetFaults[i])
-					idx = append(idx, i)
-				}
+			fl, idx := fault.Filter(r.TargetFaults, func(i int) bool { return undet[i] })
+			out := simulator.Run(r.Omega[j].GenSequence(lg), fl, fo)
+			if out.Cancelled {
+				break
 			}
-			seq := r.Omega[j].GenSequence(lg)
-			out := simulator.Run(seq, fl, fsim.Options{Init: r.Options.Init, ObserveLines: true, Workers: r.Options.Workers, Kernel: r.Options.Kernel})
 			for k, i := range idx {
 				if opSets[i] == nil {
 					opSets[i] = fsim.NewBitset(len(r.Circuit.Nodes))

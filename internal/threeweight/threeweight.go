@@ -199,22 +199,15 @@ func Evaluate(c *circuit.Circuit, assignments []Assignment, targets []fault.Faul
 	}
 	s := fsim.New(c)
 	for k, a := range assignments {
-		var fl []fault.Fault
-		var idx []int
-		for i := range targets {
-			if !res.Detected[i] {
-				fl = append(fl, targets[i])
-				idx = append(idx, i)
-			}
-		}
+		fl, idx := fault.Filter(targets, func(i int) bool { return !res.Detected[i] })
 		if len(fl) == 0 {
 			break
 		}
 		seq := GenSequence(a, lg, src)
 		out := s.Run(seq, fl, fsim.Options{Init: init})
-		for j := range fl {
+		for j, i := range idx {
 			if out.Detected[j] {
-				res.Detected[idx[j]] = true
+				res.Detected[i] = true
 				res.NumDetected++
 				res.PerAssignment[k]++
 			}
